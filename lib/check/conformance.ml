@@ -25,8 +25,6 @@ let comparisons_run = ref 0
 
 let features = Hawkset.Analysis.all_features
 
-let impl_name = function `Packed -> "packed" | `Tuple -> "tuple"
-
 let check_variant acc ~variant ~expected f =
   incr comparisons_run;
   Obs.Metric.incr obs_comparisons;
@@ -42,14 +40,11 @@ let check_variant acc ~variant ~expected f =
         d_actual = Printexc.to_string e }
       :: acc
 
-(* One production run through the collector + parallel analysis, the
-   path every front end takes. *)
-let produced ~jobs ~memo ~dedup trace =
-  let collected = Hawkset.Collector.collect ~dedup trace in
-  let outcome =
-    Hawkset.Par_analysis.analyse ~features ~jobs ~memo_impl:memo collected
-  in
-  Hawkset.Report.to_json outcome.Hawkset.Analysis.report
+(* One production run through the collector + analysis, the path every
+   front end takes. *)
+let produced trace =
+  Hawkset.Report.to_json
+    (Hawkset.Analysis.analyse ~features (Hawkset.Collector.collect trace))
 
 let divergences trace =
   let len = Trace.Tracebuf.length trace in
@@ -71,44 +66,30 @@ let divergences trace =
           Hawkset.Report.to_json (Hawkset.Reference.pipeline cut)
         in
         let acc = ref [] in
-        (* jobs × memo × dedup over the collector + Par_analysis path. *)
-        List.iter
-          (fun jobs ->
-            List.iter
-              (fun memo ->
-                List.iter
-                  (fun dedup ->
-                    let variant =
-                      Printf.sprintf "jobs=%d memo=%s dedup=%s budget=%s" jobs
-                        (impl_name memo) (impl_name dedup) bname
-                    in
-                    acc :=
-                      check_variant !acc ~variant ~expected (fun () ->
-                          produced ~jobs ~memo ~dedup cut))
-                  [ `Packed; `Tuple ])
-              [ `Packed; `Tuple ])
-          [ 1; 4 ];
+        (* The collector + analysis stages on the already-cut trace. *)
+        acc :=
+          check_variant !acc
+            ~variant:(Printf.sprintf "production budget=%s" bname)
+            ~expected
+            (fun () -> produced cut);
         (* The assembled pipeline (event budget applied inside). *)
-        List.iter
-          (fun jobs ->
-            let variant =
-              Printf.sprintf "pipeline jobs=%d budget=%s" jobs bname
-            in
-            acc :=
-              check_variant !acc ~variant ~expected (fun () ->
-                  let config =
-                    { Hawkset.Pipeline.default with jobs; event_budget = budget }
-                  in
-                  Hawkset.Report.to_json
-                    (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races))
-          [ 1; 4 ];
+        acc :=
+          check_variant !acc
+            ~variant:(Printf.sprintf "pipeline budget=%s" bname)
+            ~expected
+            (fun () ->
+              let config =
+                { Hawkset.Pipeline.default with event_budget = budget }
+              in
+              Hawkset.Report.to_json
+                (Hawkset.Pipeline.run ~config cut).Hawkset.Pipeline.races);
         (* Result cache, cold then warm: a complete run's bytes stored
            under (trace fingerprint, config fingerprint) must come back
            verbatim — and still equal the specification's. Budget runs
            are truncated results, which the cache contract excludes. *)
         if budget = None then begin
           let cache = Hawkset.Result_cache.create () in
-          let config = { Hawkset.Pipeline.default with jobs = 1 } in
+          let config = Hawkset.Pipeline.default in
           let config_fp = Hawkset.Result_cache.config_fingerprint config in
           let trace_fp = Trace.Trace_io.fingerprint cut in
           acc :=

@@ -112,7 +112,6 @@ type state = {
   irh : bool;
   timestamps : bool;
   eadr : bool;
-  packed : bool; (* false: force every key through the tuple spill path *)
   tables : Access.tables;
   sites : Site_table.t;
   mutable threads : thread_state array;
@@ -120,9 +119,9 @@ type state = {
   cell_idx : Trace.Int_tbl.Map.t; (* word -> index into cell_list *)
   cell_list : cell Trace.Vec.t;
   mutable scratch : cell array; (* per-event word cells, reused *)
-  (* Keys that exceed a packed field width — and, with [packed = false],
-     every key (the reference implementation for the differential
-     tests) — fall back to the old tuple-keyed tables. *)
+  (* Keys that exceed a packed field width (a tid >= 2^tid_bits, or more
+     locksets or vclocks than their fields hold) fall back to
+     tuple-keyed tables. *)
   spill_w : (int * int * int * int * int * int * int, unit) Hashtbl.t;
   spill_l : (int * int * int * int * int, unit) Hashtbl.t;
   mutable next_id : int;
@@ -252,14 +251,11 @@ let emit_window st cell entry ~eff ~end_vec ~kind =
   let evec = match end_vec with Some v -> v | None -> -1 in
   let tag = end_kind_tag kind in
   let fresh =
-    if st.packed then begin
-      let key =
-        Trace.Packed_key.window_key ~tid:m.m_tid ~site:m.m_site_id ~eff:eff_id
-          ~vec:m.m_vec_id ~evec:(evec + 1) ~kind:tag
-      in
-      if key >= 0 then Trace.Int_tbl.Set.add cell.cl_wdedup key
-      else spill_window_fresh st cell m ~eff_id ~evec ~tag
-    end
+    let key =
+      Trace.Packed_key.window_key ~tid:m.m_tid ~site:m.m_site_id ~eff:eff_id
+        ~vec:m.m_vec_id ~evec:(evec + 1) ~kind:tag
+    in
+    if key >= 0 then Trace.Int_tbl.Set.add cell.cl_wdedup key
     else spill_window_fresh st cell m ~eff_id ~evec ~tag
   in
   if fresh then begin
@@ -426,14 +422,11 @@ let on_load st ~tid ~addr ~size ~site =
     for i = 0 to !nw - 1 do
       let c = st.scratch.(i) in
       let fresh =
-        if st.packed then begin
-          let key =
-            Trace.Packed_key.load_key ~tid:itid ~site:site_id ~ls:ls_id
-              ~vec:vec_id
-          in
-          if key >= 0 then Trace.Int_tbl.Set.add c.cl_ldedup key
-          else spill_load_fresh st c ~tid:itid ~site_id ~ls_id ~vec_id
-        end
+        let key =
+          Trace.Packed_key.load_key ~tid:itid ~site:site_id ~ls:ls_id
+            ~vec:vec_id
+        in
+        if key >= 0 then Trace.Int_tbl.Set.add c.cl_ldedup key
         else spill_load_fresh st c ~tid:itid ~site_id ~ls_id ~vec_id
       in
       if fresh then Trace.Vec.push c.cl_loads (get_record ())
@@ -532,7 +525,7 @@ let finalize st =
    [words] ascending, per-word records newest-first (the iteration order
    of the cons lists this replaces, so reports are unchanged), [slots]
    the indices of words carrying at least one load record — the
-   deterministic iteration and sharding domain. *)
+   deterministic iteration domain. *)
 let freeze st stats =
   let keep = ref [] in
   Trace.Vec.iter
@@ -574,15 +567,13 @@ let pp_stats ppf s =
 
 let tl_collect = Obs.Timeline.name "collector.collect"
 
-let collect ?(irh = true) ?(timestamps = true) ?(eadr = false)
-    ?(dedup = `Packed) ?stop trace =
+let collect ?(irh = true) ?(timestamps = true) ?(eadr = false) ?stop trace =
   Obs.Timeline.begin_ tl_collect ~arg:(Trace.Tracebuf.length trace);
   let st =
     {
       irh;
       timestamps;
       eadr;
-      packed = (dedup = `Packed);
       tables = Access.create_tables ();
       sites = Site_table.create ();
       threads = Array.init 8 (fun _ -> fresh_thread ());
@@ -668,8 +659,6 @@ let collect ?(irh = true) ?(timestamps = true) ?(eadr = false)
       Format.asprintf "%a" pp_stats stats);
   Obs.Timeline.end_ tl_collect ~arg:stats.c_events;
   freeze st stats
-
-let sorted_load_words (t : result) = Array.map (fun i -> t.words.(i)) t.slots
 
 let all_windows (t : result) =
   Array.fold_right

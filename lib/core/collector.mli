@@ -47,22 +47,19 @@ type result = {
   loads_of : Access.load array array;  (** Loads per word, newest-first. *)
   slots : int array;
       (** Indexes into [words] carrying at least one load record — the
-          deterministic iteration (and sharding) domain of stage 3. Slots
+          deterministic iteration domain of stage 3. Slots
           whose word has no windows are included; the analysis skips
           them. *)
   stats : stats;
 }
 (** A result is frozen once [collect] returns: stage 3 only ever reads it.
     All reads (array indexing, interner [get]s through [tables]) are
-    mutation-free, so one result may be consumed concurrently from several
-    domains — the property {!Par_analysis} relies on to shard the slot
-    space without copying the records. *)
+    mutation-free. *)
 
 val collect :
   ?irh:bool ->
   ?timestamps:bool ->
   ?eadr:bool ->
-  ?dedup:[ `Packed | `Tuple ] ->
   ?stop:(unit -> bool) ->
   Trace.Tracebuf.t ->
   result
@@ -78,16 +75,9 @@ val collect :
     the trace under the §2.1 eADR assumption — the cache is persistent, so
     visible-but-not-durable windows cannot exist and no store records are
     produced (persistency-induced races are impossible by construction).
-    [dedup] (default [`Packed]) selects the dedup-key implementation:
-    [`Packed] packs each key into one int ({!Trace.Packed_key}; keys whose
-    fields exceed a packed field width spill to the tuple-keyed tables —
-    never a silent collision); [`Tuple] forces every key through the
-    tuple-keyed reference path. Both must produce identical results — the
-    differential property the packed-key test suite checks. *)
-
-val sorted_load_words : result -> int array
-(** The word keys of the slots, ascending — [words.(slots.(i))] for each
-    [i]. Kept for presentation layers that report the analysed words. *)
+    Dedup keys are packed into one int ({!Trace.Packed_key}); keys whose
+    fields exceed a packed field width spill to tuple-keyed tables —
+    never a silent collision. *)
 
 val all_windows : result -> Access.window list
 (** Every window record, words ascending, newest-first within a word —

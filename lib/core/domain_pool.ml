@@ -1,16 +1,8 @@
 (* A small pool of persistent worker domains.
 
-   [Domain.spawn] costs a thread, a minor heap and a handshake with every
-   running domain — milliseconds that PR 2 paid on every [analyse] call
-   and that dwarfed the sharded work itself on short runs. The pool
-   spawns each worker once and hands tasks over a mutex/condition pair;
-   per-[map] cost is two lock transitions per worker instead of a spawn
-   and a join.
-
-   Task [i] always runs on the same slot — [0] on the caller, [i] on
-   worker [i - 1] — so slot-indexed state owned by the callers (e.g.
-   {!Par_analysis}'s warm memo tables) is only ever touched by one domain
-   per call, without the pool knowing about it. *)
+   Each worker is spawned once and handed tasks over a mutex/condition
+   pair; a [run_queue] call costs two lock transitions per worker
+   instead of a spawn and a join. *)
 
 exception Pool_closed
 
@@ -36,8 +28,8 @@ let worker_loop w () =
       | Some f ->
           w.task <- None;
           Mutex.unlock w.mutex;
-          (* The task itself never raises: [map] wraps it in a catch-all
-             that stores the outcome. *)
+          (* The task itself never raises: [run_queue] wraps it in a
+             catch-all that stores the outcome. *)
           f ();
           Mutex.lock w.mutex;
           w.busy <- false;
@@ -52,11 +44,11 @@ let worker_loop w () =
     in
     loop ()
   with _ ->
-    (* Watchdog path: tasks cannot raise here ([map] wraps them), so an
-       exception means the loop itself died. Mark the slot lost and wake
-       any joiner so [await] returns instead of hanging forever; [map]
-       then reports the loss as {!Worker_lost}. The unlocked writes are
-       single-writer (this domain is about to exit). *)
+    (* Watchdog path: tasks cannot raise here ([run_queue] wraps them),
+       so an exception means the loop itself died. Mark the slot lost and
+       wake any joiner so [await] returns instead of hanging forever;
+       [run_queue] then reports the loss as {!Worker_lost}. The unlocked
+       writes are single-writer (this domain is about to exit). *)
     w.dead <- true;
     w.busy <- false;
     (try Condition.broadcast w.cond with _ -> ());
@@ -93,109 +85,12 @@ let await w =
 
 let create () = { lock = Mutex.create (); workers = [||]; closed = false }
 
-(* Optional per-task wrapper (installed e.g. by the harness to sample
-   pool-domain heap peaks). Receives the task's slot index and a thunk it
-   MUST run exactly once. Monomorphic on [unit -> unit]: [map]'s
-   result-array closure already has that shape. *)
-let task_hook : (int -> (unit -> unit) -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_task_hook h = Atomic.set task_hook h
-
-(* Every task runs with its slot bound to the matching timeline lane —
-   task [i] is always slot [i] (caller or worker [i - 1]), so lane
-   assignment is deterministic. *)
-let run_task i f =
-  Obs.Timeline.with_lane i (fun () ->
-      match Atomic.get task_hook with
-      | None -> f ()
-      | Some h -> (
-          let out = ref None in
-          h i (fun () -> out := Some (f ()));
-          match !out with
-          | Some v -> v
-          | None -> failwith "Domain_pool: task hook dropped its task"))
-
-let size t = Array.length t.workers
-
-let ensure t n =
-  Mutex.lock t.lock;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    raise Pool_closed
-  end;
-  let have = Array.length t.workers in
-  if n > have then begin
-    let ws = Array.init n (fun i -> if i < have then t.workers.(i) else spawn_worker ()) in
-    t.workers <- ws
-  end;
-  Mutex.unlock t.lock
-
-let map t fns =
-  let n = Array.length fns in
-  if n = 0 then begin
-    (* Even a no-op map on a closed pool is a caller bug worth surfacing. *)
-    if t.closed then raise Pool_closed;
-    [||]
-  end
-  else begin
-    (* Serialise whole [map] calls: workers hold no per-call state, so
-       two concurrent callers would otherwise interleave submissions. *)
-    Mutex.lock t.lock;
-    if t.closed then begin
-      Mutex.unlock t.lock;
-      raise Pool_closed
-    end;
-    let have = Array.length t.workers in
-    if n - 1 > have then begin
-      t.workers <-
-        Array.init (n - 1) (fun i ->
-            if i < have then t.workers.(i) else spawn_worker ())
-    end;
-    (* Self-heal slots lost in an earlier call: the previous [map]
-       already reported them as {!Worker_lost}; this call gets a fresh
-       domain instead of submitting to a corpse (which would hang). *)
-    for i = 0 to n - 2 do
-      if t.workers.(i).dead then begin
-        (match t.workers.(i).domain with
-        | Some d -> ( try Domain.join d with _ -> ())
-        | None -> ());
-        let ws = Array.copy t.workers in
-        ws.(i) <- spawn_worker ();
-        t.workers <- ws
-      end
-    done;
-    let results = Array.make n (Error Not_found) in
-    let run i () =
-      results.(i) <- (try Ok (run_task i (fun () -> fns.(i) ())) with e -> Error e)
-    in
-    for i = 1 to n - 1 do
-      submit t.workers.(i - 1) (run i)
-    done;
-    (* Task 0 runs here: a 1-task map never touches a worker, and the
-       caller's domain contributes instead of idling on the join. *)
-    run 0 ();
-    for i = 1 to n - 1 do
-      await t.workers.(i - 1)
-    done;
-    (* Watchdog: a worker that died mid-call produced no result — report
-       the loss rather than hand back [Error Not_found] silently. *)
-    let lost = ref (-1) in
-    for i = n - 2 downto 0 do
-      if t.workers.(i).dead then lost := i + 1
-    done;
-    Mutex.unlock t.lock;
-    if !lost >= 0 then raise (Worker_lost !lost);
-    results
-  end
-
-(* Two-level scheduling for the batch supervisor: [n] tasks drained by
-   [workers] slots pulling indices off a shared atomic counter. Unlike
-   [map] there is no task-per-slot bijection — any slot may run any task
-   — so callers must not rely on slot-indexed state; what stays
-   deterministic is the *result order* (index [i] of the returned array
-   is task [i]'s outcome, wherever it ran). Slot 0 is the caller, slot
-   [s >= 1] is worker [s - 1]; each task binds its slot's timeline lane. *)
+(* [n] tasks drained by [workers] slots pulling indices off a shared
+   atomic counter. Any slot may run any task, so callers must not rely
+   on slot-indexed state; what stays deterministic is the *result order*
+   (index [i] of the returned array is task [i]'s outcome, wherever it
+   ran). Slot 0 is the caller, slot [s >= 1] is worker [s - 1]; each
+   task binds its slot's timeline lane. *)
 let run_queue t ~workers fns =
   let n = Array.length fns in
   let slots = max 1 (min workers n) in
@@ -204,8 +99,12 @@ let run_queue t ~workers fns =
     [||]
   end
   else begin
-    (* Same serialisation/heal/grow preamble as [map]: the whole drain
-       holds [t.lock], so queue tasks must never re-enter the pool. *)
+    (* Serialise whole calls (workers hold no per-call state, so two
+       concurrent callers would otherwise interleave submissions): the
+       drain holds [t.lock], so queue tasks must never re-enter the pool.
+       Then grow the pool, and respawn slots lost in an earlier call
+       (already reported as {!Worker_lost}) instead of submitting to a
+       corpse, which would hang. *)
     Mutex.lock t.lock;
     if t.closed then begin
       Mutex.unlock t.lock;
@@ -232,7 +131,7 @@ let run_queue t ~workers fns =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         results.(i) <-
-          (try Ok (run_task slot (fun () -> fns.(i) ())) with e -> Error e);
+          (try Ok (Obs.Timeline.with_lane slot fns.(i)) with e -> Error e);
         drain slot ()
       end
     in
@@ -243,6 +142,8 @@ let run_queue t ~workers fns =
     for s = 1 to slots - 1 do
       await t.workers.(s - 1)
     done;
+    (* Watchdog: a worker that died mid-call produced no result — report
+       the loss rather than hand back [Error Not_found] silently. *)
     let lost = ref (-1) in
     for i = slots - 2 downto 0 do
       if t.workers.(i).dead then lost := i + 1

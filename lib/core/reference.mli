@@ -29,8 +29,8 @@ val default_config : config
     with {!Analysis.all_features}. *)
 
 val config_of_pipeline : Pipeline.config -> config
-(** The semantic knobs of a pipeline config (jobs, budgets and deadlines
-    do not change what a complete run computes). *)
+(** The semantic knobs of a pipeline config (budgets and deadlines do not
+    change what a complete run computes). *)
 
 val pipeline : ?config:config -> ?event_budget:int -> Trace.Tracebuf.t -> Report.t
 (** The whole specification: consume the trace (or its [event_budget]
@@ -41,8 +41,8 @@ val pipeline : ?config:config -> ?event_budget:int -> Trace.Tracebuf.t -> Report
 val analyse : ?config:config -> Collector.result -> Report.t
 (** Stage 3 alone on production-collected records: the same naive pair
     loop reading the per-word record arrays through the interning
-    tables. Oracle for {!Analysis.analyse} / {!Par_analysis.analyse} on
-    an already-collected result. Only [config]'s [effective_lockset] and
+    tables. Oracle for {!Analysis.analyse} on an already-collected
+    result. Only [config]'s [effective_lockset] and
     [vector_clocks] fields are consulted (the rest shaped collection). *)
 
 val locs : Report.t -> (string * string) list

@@ -19,9 +19,9 @@
 
    Only *complete* results belong here — a truncated report is a
    property of the run (its budgets), not of the trace, so callers must
-   not [add] one. Deadlines and [jobs] are likewise excluded from
-   {!config_fingerprint}: any jobs value produces bit-identical reports,
-   and deadlines only affect truncated (uncacheable) runs. *)
+   not [add] one. Deadlines are likewise excluded from
+   {!config_fingerprint}: they only affect truncated (uncacheable)
+   runs. *)
 
 module J = Trace.Journal
 

@@ -12,9 +12,9 @@
     the deterministic pipeline counter delta.
 
     Only {e complete} results may be added: a truncated report reflects
-    the run's budgets, not the trace. Correspondingly [jobs] and the
-    stage deadlines are excluded from {!config_fingerprint} — any jobs
-    value is bit-identical, and deadlines only shape truncated runs. One
+    the run's budgets, not the trace. Correspondingly the stage deadlines
+    are excluded from {!config_fingerprint} — they only shape truncated
+    runs. One
     caveat follows: a hit always substitutes the complete result, so a
     run whose deadlines {e would} have truncated reports clean on a warm
     cache (documented in README "Performance").
@@ -41,8 +41,8 @@ val create : unit -> t
 
 val config_fingerprint : Pipeline.config -> string
 (** FNV of the semantic analysis knobs (irh, effective lockset,
-    timestamps, vector clocks, eADR, event budget) — [jobs] and
-    deadlines excluded, see above. 16 hex digits. *)
+    timestamps, vector clocks, eADR, event budget) — deadlines
+    excluded, see above. 16 hex digits. *)
 
 val find : t -> trace_fp:string -> config_fp:string -> entry option
 (** One locked probe; bumps hit/miss accounting (instance and global). *)

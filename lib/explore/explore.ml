@@ -8,10 +8,8 @@
    the results. Workers return compact summaries (fingerprints and
    location-pair sets), never traces; a divergent schedule is re-run
    deterministically when its trace needs dumping. Workers must not call
-   {!Hawkset.Pipeline.run} (span accounting is single-domain) nor
-   [Par_analysis.analyse ~jobs>1] (a nested {!Hawkset.Domain_pool.map}
-   self-deadlocks); they run the collector and the sequential analysis
-   directly. *)
+   {!Hawkset.Pipeline.run} (span accounting is single-domain); they run
+   the collector and the analysis directly. *)
 
 module S = Machine.Sched
 module R = Pmapps.Registry
@@ -187,8 +185,7 @@ let run_schedule (entry : R.entry) config ~ops i =
          both analyse it (first insert wins, entries are identical). *)
       let analyse () =
         let collected = Hawkset.Collector.collect trace in
-        let outcome = Hawkset.Par_analysis.analyse ~jobs:1 collected in
-        outcome.Hawkset.Analysis.report
+        Hawkset.Analysis.analyse collected
       in
       let canonical =
         match config.cache with
@@ -270,17 +267,17 @@ let run ?(config = default_config) (entry : R.entry) =
   let results =
     if jobs = 1 then List.init schedules (run_schedule entry config ~ops)
     else begin
-      (* Contiguous index chunks, one per worker; concatenating in chunk
-         order restores schedule order, so the merged list is identical
-         to the sequential one whatever [jobs] is. *)
+      (* Contiguous index chunks, one per worker; [run_queue] returns them
+         in chunk order, which restores schedule order, so the merged list
+         is identical to the sequential one whatever [jobs] is. *)
       let chunk k =
         let lo = schedules * k / jobs and hi = schedules * (k + 1) / jobs in
         fun () ->
           List.init (hi - lo) (fun j -> run_schedule entry config ~ops (lo + j))
       in
-      Hawkset.Domain_pool.map
+      Hawkset.Domain_pool.run_queue
         (Hawkset.Domain_pool.global ())
-        (Array.init jobs chunk)
+        ~workers:jobs (Array.init jobs chunk)
       |> Array.to_list
       |> List.concat_map (function Ok rows -> rows | Error e -> raise e)
     end

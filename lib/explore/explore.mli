@@ -53,8 +53,8 @@
     Schedules are explored in parallel on the persistent {!Domain_pool}:
     each schedule is a pure function of its index, so results are
     deterministic and independent of [jobs]. Workers run the collector
-    and the sequential analysis directly (never {!Hawkset.Pipeline.run},
-    whose span accounting is single-domain). *)
+    and the analysis directly (never {!Hawkset.Pipeline.run}, whose span
+    accounting is single-domain). *)
 
 (** Which scheduler policies the sweep draws from. [All] (the default)
     spends schedule 0 on the deterministic round-robin schedule and

@@ -46,11 +46,7 @@ let summary_line (b : Supervise.batch) =
       (fun (k, label) ->
         let n = get k in
         if n > 0 then Some (Printf.sprintf "%d %s" n label) else None)
-      [
-        ("ok_retried", "retried");
-        ("ok_sequential", "sequential");
-        ("ok_truncated", "truncated");
-      ]
+      [ ("ok_retried", "retried"); ("ok_truncated", "truncated") ]
   in
   Printf.sprintf "batch: %d jobs, %d ok%s, %d failed, %d quarantined%s"
     (get "jobs") (get "ok")

@@ -2,8 +2,8 @@
    exporter.
 
    One lane per domain slot (the caller is lane 0, pool worker [i - 1] is
-   lane [i], mirroring the domain pool's stable task-to-domain mapping).
-   A lane is written only by the domain that owns it, so the hot path is
+   lane [i], mirroring the domain pool's slot numbering). A lane is
+   written only by the domain that owns it, so the hot path is
    lock-free: a bool check when disabled, an array store when enabled.
    Overflow drops the NEW event and bumps the lane's drop counter —
    earlier events are never overwritten, so a truncated ring is a prefix
@@ -73,8 +73,8 @@ let clear_lane ln =
   ln.l_ts <- [||]
 
 (* [reset]/[set_capacity] are quiescent-state operations: the caller must
-   ensure no other domain is recording (e.g. between [Domain_pool.map]
-   calls, whose join synchronizes). *)
+   ensure no other domain is recording (e.g. between
+   [Domain_pool.run_queue] calls, whose join synchronizes). *)
 let reset () = Array.iter clear_lane lanes
 
 let set_capacity n =

@@ -2,15 +2,15 @@
     with a Chrome-trace-event (Perfetto-loadable) exporter.
 
     Lanes map to domain slots: the caller records on lane 0, pool worker
-    [i - 1] on lane [i] (the pool's stable task-to-domain mapping makes
-    this assignment deterministic). Each lane is written only by its
-    owning domain, so recording is lock-free — a single atomic load when
-    disabled, plain array stores when enabled.
+    [i - 1] on lane [i]. Each lane is written only by its owning domain,
+    so recording is lock-free — a single atomic load when disabled, plain
+    array stores when enabled.
 
     Determinism contract: the per-lane {e sequence} of
     [(kind, name, arg)] triples is a pure function of the seed and
-    configuration. Timestamps are wall-clock and quarantined like the
-    manifest's gauges — {!signature} excludes them so tests can
+    configuration (for work spread over pool workers, which task lands
+    on which lane is not). Timestamps are wall-clock and quarantined like
+    the manifest's gauges — {!signature} excludes them so tests can
     byte-compare sequences. On ring overflow the new event is dropped
     (never an old one) and the lane's drop counter is bumped, so a full
     ring still holds an exact prefix of the untruncated sequence. *)
@@ -63,7 +63,7 @@ val begin_ : ?arg:int -> handle -> unit
 val end_ : ?arg:int -> handle -> unit
 
 val instant : ?arg:int -> handle -> unit
-(** Record a point event (truncation, shard failure, crash point, ...). *)
+(** Record a point event (truncation, crash point, ...). *)
 
 val events : int -> event list
 (** Recorded events of a lane, in recording order. *)

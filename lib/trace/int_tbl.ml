@@ -185,7 +185,4 @@ module Map = struct
       t.count <- 0;
       t.dead <- 0
     end
-
-  let iter_keys f t =
-    Array.iter (fun k -> if k >= 0 then f k) t.keys
 end

@@ -45,5 +45,4 @@ module Map : sig
   (** [remove t k] tombstones [k]'s slot; [true] iff it was present. *)
 
   val clear : t -> unit
-  val iter_keys : (int -> unit) -> t -> unit
 end

@@ -1,7 +1,7 @@
 (* Crash-sweep fault injection and the degradation contract: cut runs
    really crash where asked, verification is deterministic, the control
-   app survives every cut, and a pipeline whose budget runs out — or
-   whose analysis shard dies — still returns a report instead of dying. *)
+   app survives every cut, and a pipeline whose budget runs out still
+   returns a report instead of dying. *)
 
 module S = Machine.Sched
 
@@ -181,27 +181,6 @@ module Degradation_tests = struct
     Alcotest.(check int) "no truncations" 0
       (List.length r.Hawkset.Pipeline.truncated)
 
-  let shard_failure_is_isolated () =
-    let trace = Lazy.force trace in
-    let collected = Hawkset.Collector.collect trace in
-    let seq = Hawkset.Analysis.run collected in
-    Obs.Registry.reset Obs.Registry.global;
-    let withfail =
-      Hawkset.Par_analysis.analyse ~jobs:4
-        ~inject_shard_failure:(fun shard -> shard = 1)
-        collected
-    in
-    let counters = Obs.Registry.counters Obs.Registry.global in
-    let v name = Option.value ~default:0 (List.assoc_opt name counters) in
-    Alcotest.(check string) "report bit-identical"
-      (Hawkset.Report.to_json seq.Hawkset.Analysis.report)
-      (Hawkset.Report.to_json withfail.Hawkset.Analysis.report);
-    Alcotest.(check int) "same pair count" seq.Hawkset.Analysis.pairs
-      withfail.Hawkset.Analysis.pairs;
-    Alcotest.(check int) "failure counted" 1 (v "analysis.shard_failures");
-    Alcotest.(check int) "retried sequentially" 1 (v "analysis.shard_retries");
-    Alcotest.(check int) "no range skipped" 0 (v "analysis.shard_ranges_skipped")
-
   let stop_predicate_cuts_analysis () =
     let trace = Lazy.force trace in
     let collected = Hawkset.Collector.collect trace in
@@ -212,6 +191,35 @@ module Degradation_tests = struct
     Alcotest.(check bool) "stopped run analyses less" true
       (stopped.Hawkset.Analysis.words_analysed
       < stopped.Hawkset.Analysis.words_total)
+
+  (* A cut at a word boundary leaves the analysis of the visited words
+     intact: exactly the polled number of words, no more pairs than the
+     full run, and only races the full run also reports. *)
+  let stopped_analysis_is_a_prefix () =
+    let trace = Lazy.force trace in
+    let collected = Hawkset.Collector.collect trace in
+    let full = Hawkset.Analysis.run collected in
+    let polls = ref 0 in
+    let k = full.Hawkset.Analysis.words_total / 2 in
+    Alcotest.(check bool) "words to cut" true (k > 0);
+    let stopped =
+      Hawkset.Analysis.run
+        ~stop:(fun () ->
+          incr polls;
+          !polls > k)
+        collected
+    in
+    Alcotest.(check int) "visited words" k
+      stopped.Hawkset.Analysis.words_analysed;
+    Alcotest.(check bool) "no more pairs" true
+      (stopped.Hawkset.Analysis.pairs <= full.Hawkset.Analysis.pairs);
+    List.iter
+      (fun (store_loc, load_loc) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s -> %s also in the full report" store_loc load_loc)
+          true
+          (Hawkset.Report.mem full.Hawkset.Analysis.report ~store_loc ~load_loc))
+      (Hawkset.Report.canonical stopped.Hawkset.Analysis.report)
 
   let stop_predicate_cuts_collection () =
     let trace = Lazy.force trace in
@@ -225,10 +233,10 @@ module Degradation_tests = struct
       Alcotest.test_case "event budget truncates deterministically" `Quick
         event_budget_truncates;
       Alcotest.test_case "no budget, no truncation" `Quick no_budget_no_truncation;
-      Alcotest.test_case "injected shard failure is isolated" `Quick
-        shard_failure_is_isolated;
       Alcotest.test_case "analysis stop predicate" `Quick
         stop_predicate_cuts_analysis;
+      Alcotest.test_case "stopped analysis is a word prefix" `Quick
+        stopped_analysis_is_a_prefix;
       Alcotest.test_case "collector stop predicate" `Quick
         stop_predicate_cuts_collection;
     ]

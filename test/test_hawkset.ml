@@ -872,6 +872,115 @@ module Reference_tests = struct
     ]
 end
 
+module Counter_tests = struct
+  (* Stage 3 keeps its work counts in locals and adds them to the global
+     registry once, when the run ends: the registry must agree with the
+     outcome, and a second run over the same records must add exactly the
+     same amounts again. *)
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Obs.Registry.counters Obs.Registry.global))
+
+  let occurrences report =
+    List.fold_left
+      (fun n (race : Hawkset.Report.race) -> n + race.Hawkset.Report.occurrences)
+      0 report
+
+  let agrees_with_outcome irh =
+    QCheck.Test.make
+      ~name:(Printf.sprintf "counters agree with the outcome (irh=%b)" irh)
+      ~count:150 Reference_tests.arb_trace
+      (fun trace ->
+        let c = Hawkset.Collector.collect ~irh trace in
+        Obs.Registry.reset Obs.Registry.global;
+        let o = Hawkset.Analysis.run c in
+        let races = counter "analysis.races_reported" in
+        counter "analysis.pairs_examined" = o.Hawkset.Analysis.pairs
+        && races = occurrences o.Hawkset.Analysis.report
+        && counter "analysis.pairs_pruned_hb" + races <= o.Hawkset.Analysis.pairs)
+
+  let second_run_adds_same =
+    QCheck.Test.make ~name:"a second run adds the same counts" ~count:100
+      Reference_tests.arb_trace
+      (fun trace ->
+        let c = Hawkset.Collector.collect trace in
+        Obs.Registry.reset Obs.Registry.global;
+        let o1 = Hawkset.Analysis.run c in
+        let once = Obs.Registry.counters Obs.Registry.global in
+        let o2 = Hawkset.Analysis.run c in
+        let twice = Obs.Registry.counters Obs.Registry.global in
+        Hawkset.Report.to_json o1.Hawkset.Analysis.report
+        = Hawkset.Report.to_json o2.Hawkset.Analysis.report
+        && o1.Hawkset.Analysis.pairs = o2.Hawkset.Analysis.pairs
+        && List.map (fun (k, v) -> (k, 2 * v)) once = twice)
+
+  (* The design-ablation switches follow the specification too, not only
+     the full configuration the conformance fuzzer checks. *)
+  let ablations_match_spec =
+    QCheck.Test.make ~name:"feature ablations == specification" ~count:60
+      Reference_tests.arb_trace
+      (fun trace ->
+        let base = Hawkset.Pipeline.no_irh in
+        List.for_all
+          (fun config ->
+            Hawkset.Report.to_json (Hawkset.Pipeline.races ~config trace)
+            = Hawkset.Report.to_json
+                (Hawkset.Reference.pipeline
+                   ~config:(Hawkset.Reference.config_of_pipeline config)
+                   trace))
+          [
+            { base with Hawkset.Pipeline.effective_lockset = false };
+            { base with Hawkset.Pipeline.timestamps = false };
+            { base with Hawkset.Pipeline.vector_clocks = false };
+          ])
+
+  (* The smallest racy input: one word, one pair, one report. *)
+  let single_pair () =
+    let trace =
+      Trace.Tracebuf.of_list
+        [
+          Trace.Event.Thread_create { parent = Trace.Tid.main; child = tid 1 };
+          Trace.Event.Thread_create { parent = Trace.Tid.main; child = tid 2 };
+          Trace.Event.Store
+            { tid = tid 1; addr = 128; size = 8; site = s "one.ml" 1;
+              non_temporal = false };
+          Trace.Event.Load
+            { tid = tid 2; addr = 128; size = 8; site = s "one.ml" 2 };
+        ]
+    in
+    Obs.Registry.reset Obs.Registry.global;
+    let o = Hawkset.Analysis.run (Hawkset.Collector.collect ~irh:false trace) in
+    Alcotest.(check int) "one word" 1 o.Hawkset.Analysis.words_total;
+    Alcotest.(check int) "all words visited" 1 o.Hawkset.Analysis.words_analysed;
+    Alcotest.(check int) "one pair" 1 o.Hawkset.Analysis.pairs;
+    Alcotest.(check int) "one race" 1 (Hawkset.Report.count o.Hawkset.Analysis.report);
+    Alcotest.(check int) "pairs counter" 1 (counter "analysis.pairs_examined");
+    Alcotest.(check int) "races counter" 1 (counter "analysis.races_reported")
+
+  let empty_trace () =
+    let r = Hawkset.Pipeline.run (Trace.Tracebuf.of_list []) in
+    Alcotest.(check int) "no races" 0 (Hawkset.Report.count r.Hawkset.Pipeline.races);
+    Alcotest.(check int) "no pairs" 0 r.Hawkset.Pipeline.pairs_examined;
+    Alcotest.(check int) "no truncation" 0 (List.length r.Hawkset.Pipeline.truncated);
+    List.iter
+      (fun name ->
+        Alcotest.(check int) name 0
+          (Option.value ~default:0
+             (List.assoc_opt name r.Hawkset.Pipeline.counters)))
+      [ "analysis.pairs_examined"; "analysis.races_reported";
+        "analysis.pairs_pruned_hb" ]
+
+  let tests =
+    [
+      QCheck_alcotest.to_alcotest (agrees_with_outcome false);
+      QCheck_alcotest.to_alcotest (agrees_with_outcome true);
+      QCheck_alcotest.to_alcotest second_run_adds_same;
+      QCheck_alcotest.to_alcotest ablations_match_spec;
+      Alcotest.test_case "single racy pair" `Quick single_pair;
+      Alcotest.test_case "empty trace" `Quick empty_trace;
+    ]
+end
+
 module Eadr_tests = struct
   open Build
 
@@ -1007,6 +1116,240 @@ module Truncation_tests = struct
     ]
 end
 
+module Golden_tests = struct
+  (* Hand-written traces under fixtures/ with their exact expected
+     reports baked in: a regression net for the report's witness fields,
+     which differential tests only compare between two live runs. *)
+  type expect = {
+    e_store : string;
+    e_load : string;
+    e_store_tid : int;
+    e_load_tid : int;
+    e_addr : int;
+    e_end : Hawkset.Access.end_kind;
+    e_occ : int;
+  }
+
+  let check_fixture file expects () =
+    let trace = Trace.Trace_io.load (Filename.concat "fixtures" file) in
+    let races = Hawkset.Report.sorted (Hawkset.Pipeline.races trace) in
+    Alcotest.(check int) "race count" (List.length expects) (List.length races);
+    List.iter2
+      (fun e (race : Hawkset.Report.race) ->
+        let ctx what = Printf.sprintf "%s->%s: %s" e.e_store e.e_load what in
+        Alcotest.(check string)
+          (ctx "store site")
+          e.e_store
+          (Trace.Site.location race.Hawkset.Report.store_site);
+        Alcotest.(check string)
+          (ctx "load site")
+          e.e_load
+          (Trace.Site.location race.Hawkset.Report.load_site);
+        Alcotest.(check int)
+          (ctx "store tid")
+          e.e_store_tid race.Hawkset.Report.store_tid;
+        Alcotest.(check int)
+          (ctx "load tid")
+          e.e_load_tid race.Hawkset.Report.load_tid;
+        Alcotest.(check int) (ctx "addr") e.e_addr race.Hawkset.Report.addr;
+        Alcotest.(check bool)
+          (ctx "window end")
+          true
+          (race.Hawkset.Report.window_end = e.e_end);
+        Alcotest.(check int)
+          (ctx "occurrences")
+          e.e_occ race.Hawkset.Report.occurrences)
+      expects races
+
+  (* A store published under lock 7 and loaded by another thread under the
+     same lock, but persisted only after the critical section: the
+     effective lockset is empty, so the lock does not protect the pair.
+     The second word (persisted inside the section) must stay silent. *)
+  let publish_unpersisted =
+    check_fixture "publish_unpersisted.trace"
+      [
+        {
+          e_store = "fix_a.ml:6";
+          e_load = "fix_a.ml:11";
+          e_store_tid = 1;
+          e_load_tid = 2;
+          e_addr = 128;
+          e_end = Hawkset.Access.Persisted_same_thread;
+          e_occ = 1;
+        };
+      ]
+
+  (* An 8-byte store crossing a word boundary caught by a 4-byte load on
+     its tail, plus a second witness at another address for the same site
+     pair: one aggregated report with two occurrences. The disjoint-bytes
+     pair and the store-store pair must stay silent. *)
+  let overlap_aggregate =
+    check_fixture "overlap_aggregate.trace"
+      [
+        {
+          e_store = "fix_b.ml:3";
+          e_load = "fix_b.ml:8";
+          e_store_tid = 1;
+          e_load_tid = 2;
+          e_addr = 128;
+          e_end = Hawkset.Access.Open_at_exit;
+          e_occ = 2;
+        };
+      ]
+
+  (* Stage 3 is one sequential pass: any other [jobs] is rejected rather
+     than silently ignored. *)
+  let jobs_rejected () =
+    let trace = Trace.Trace_io.load "fixtures/publish_unpersisted.trace" in
+    Alcotest.check_raises "jobs = 2"
+      (Invalid_argument "Pipeline.run: jobs = 2; stage 3 is sequential")
+      (fun () ->
+        ignore
+          (Hawkset.Pipeline.run
+             ~config:{ Hawkset.Pipeline.default with Hawkset.Pipeline.jobs = 2 }
+             trace))
+
+  let tests =
+    [
+      Alcotest.test_case "publish before persist" `Quick publish_unpersisted;
+      Alcotest.test_case "overlap aggregation" `Quick overlap_aggregate;
+      Alcotest.test_case "jobs <> 1 rejected" `Quick jobs_rejected;
+    ]
+end
+
+module App_tests = struct
+  (* End to end through the pipeline for each Table 1 application: the
+     per-run counter delta agrees with the run's own outcome, and a
+     second run of the same trace repeats races, pair count and counters
+     exactly. *)
+  let app_repeatable (entry : Pmapps.Registry.entry) () =
+    let ops = Pmapps.Registry.clamp_ops entry 250 in
+    let trace =
+      (entry.Pmapps.Registry.run ~seed:11 ~ops ()).Machine.Sched.trace
+    in
+    let r1 = Hawkset.Pipeline.run trace in
+    let r2 = Hawkset.Pipeline.run trace in
+    let counter name =
+      Option.value ~default:0
+        (List.assoc_opt name r1.Hawkset.Pipeline.counters)
+    in
+    Alcotest.(check int) "pairs counter = pairs examined"
+      r1.Hawkset.Pipeline.pairs_examined
+      (counter "analysis.pairs_examined");
+    Alcotest.(check int) "races counter = occurrences"
+      (Counter_tests.occurrences r1.Hawkset.Pipeline.races)
+      (counter "analysis.races_reported");
+    Alcotest.(check int) "events counted"
+      r1.Hawkset.Pipeline.collector_stats.Hawkset.Collector.c_events
+      (Trace.Tracebuf.length trace);
+    Alcotest.(check string) "races repeat"
+      (Hawkset.Report.to_json r1.Hawkset.Pipeline.races)
+      (Hawkset.Report.to_json r2.Hawkset.Pipeline.races);
+    Alcotest.(check int) "pairs repeat" r1.Hawkset.Pipeline.pairs_examined
+      r2.Hawkset.Pipeline.pairs_examined;
+    Alcotest.(check (list (pair string int)))
+      "counters repeat" r1.Hawkset.Pipeline.counters
+      r2.Hawkset.Pipeline.counters
+
+  let tests =
+    List.map
+      (fun (e : Pmapps.Registry.entry) ->
+        Alcotest.test_case e.Pmapps.Registry.reg_name `Slow (app_repeatable e))
+      Pmapps.Registry.all
+end
+
+module Pool_tests = struct
+  (* Lifecycle contract of the worker pool: shutdown is idempotent, and a
+     submission after shutdown raises instead of parking forever on a
+     stopped worker. *)
+  module P = Hawkset.Domain_pool
+
+  let queue_works t n =
+    let r = P.run_queue t ~workers:n (Array.init n (fun i () -> i * i)) in
+    Alcotest.(check int) "results" n (Array.length r);
+    Array.iteri
+      (fun i o ->
+        match o with
+        | Ok v -> Alcotest.(check int) (Printf.sprintf "task %d" i) (i * i) v
+        | Error e -> Alcotest.failf "task %d failed: %s" i (Printexc.to_string e))
+      r
+
+  let double_shutdown () =
+    let t = P.create () in
+    queue_works t 3;
+    P.shutdown t;
+    (* Second call must be a no-op, not a hang or a double-join crash. *)
+    P.shutdown t
+
+  let post_shutdown_submit () =
+    let t = P.create () in
+    queue_works t 3;
+    P.shutdown t;
+    Alcotest.check_raises "run_queue after shutdown" P.Pool_closed (fun () ->
+        ignore (P.run_queue t ~workers:2 [| (fun () -> ()) |]));
+    Alcotest.check_raises "empty run_queue after shutdown" P.Pool_closed
+      (fun () ->
+        ignore (P.run_queue t ~workers:2 ([||] : (unit -> unit) array)))
+
+  let shutdown_fresh_pool () =
+    (* No workers ever spawned: both calls still succeed. *)
+    let t = P.create () in
+    P.shutdown t;
+    P.shutdown t;
+    Alcotest.check_raises "run_queue after shutdown" P.Pool_closed (fun () ->
+        ignore (P.run_queue t ~workers:1 [| (fun () -> ()) |]))
+
+  (* More tasks than slots: every slot drains several, and the results
+     still come back in task order. *)
+  let results_in_task_order () =
+    let t = P.create () in
+    Fun.protect ~finally:(fun () -> P.shutdown t) @@ fun () ->
+    let n = 40 in
+    let r = P.run_queue t ~workers:3 (Array.init n (fun i () -> 3 * i)) in
+    Alcotest.(check (list int)) "in order"
+      (List.init n (fun i -> 3 * i))
+      (Array.to_list
+         (Array.map (function Ok v -> v | Error e -> raise e) r))
+
+  (* A raising task costs only its own result. *)
+  let task_exception_isolated () =
+    let t = P.create () in
+    Fun.protect ~finally:(fun () -> P.shutdown t) @@ fun () ->
+    let r =
+      P.run_queue t ~workers:2
+        (Array.init 5 (fun i () -> if i = 2 then failwith "task 2" else i))
+    in
+    Array.iteri
+      (fun i o ->
+        match o with
+        | Ok v when i <> 2 -> Alcotest.(check int) (Printf.sprintf "task %d" i) i v
+        | Error (Failure m) when i = 2 -> Alcotest.(check string) "error" "task 2" m
+        | Ok _ | Error _ -> Alcotest.failf "task %d: unexpected outcome" i)
+      r
+
+  (* No tasks, and more slots than tasks, both return normally. *)
+  let empty_and_oversized_queues () =
+    let t = P.create () in
+    Fun.protect ~finally:(fun () -> P.shutdown t) @@ fun () ->
+    Alcotest.(check int) "empty queue" 0
+      (Array.length (P.run_queue t ~workers:4 ([||] : (unit -> int) array)));
+    let r = P.run_queue t ~workers:8 [| (fun () -> 1); (fun () -> 2) |] in
+    Alcotest.(check bool) "two results" true (r = [| Ok 1; Ok 2 |])
+
+  let tests =
+    [
+      Alcotest.test_case "results in task order" `Quick results_in_task_order;
+      Alcotest.test_case "task exception isolated" `Quick
+        task_exception_isolated;
+      Alcotest.test_case "empty and oversized queues" `Quick
+        empty_and_oversized_queues;
+      Alcotest.test_case "double shutdown is a no-op" `Quick double_shutdown;
+      Alcotest.test_case "post-shutdown submit raises" `Quick
+        post_shutdown_submit;
+      Alcotest.test_case "shutdown of a fresh pool" `Quick shutdown_fresh_pool;
+    ]
+end
+
 let () =
   Alcotest.run "hawkset"
     [
@@ -1016,6 +1359,10 @@ let () =
       ("analysis", Analysis_tests.tests);
       ("report", Report_tests.tests);
       ("reference", Reference_tests.tests);
+      ("counters", Counter_tests.tests);
       ("eadr", Eadr_tests.tests);
       ("truncation", Truncation_tests.tests);
+      ("golden", Golden_tests.tests);
+      ("apps", App_tests.tests);
+      ("pool", Pool_tests.tests);
     ]

@@ -127,50 +127,6 @@ module Registry_tests = struct
     ]
 end
 
-(* --- Buffer ----------------------------------------------------------- *)
-
-module Buffer_tests = struct
-  let accumulate_and_flush () =
-    let r = Obs.Registry.create () in
-    let b = Obs.Buffer.create ~registry:r () in
-    let x = Obs.Buffer.cell b "x" in
-    let y = Obs.Buffer.cell b "y" in
-    Obs.Buffer.incr x;
-    Obs.Buffer.add x 4;
-    Obs.Buffer.add y 2;
-    Alcotest.(check int) "buffered value" 5 (Obs.Buffer.value x);
-    Alcotest.(check (list (pair string int)))
-      "pending cells sorted" [ ("x", 5); ("y", 2) ]
-      (Obs.Buffer.cells b);
-    Alcotest.(check (list (pair string int)))
-      "registry untouched before flush" []
-      (Obs.Registry.counters r);
-    Obs.Buffer.flush b;
-    Alcotest.(check (list (pair string int)))
-      "flush publishes" [ ("x", 5); ("y", 2) ]
-      (Obs.Registry.counters r);
-    Alcotest.(check int) "cells zeroed" 0 (Obs.Buffer.value x);
-    (* Flushing adds: a second round accumulates on top, so flush order of
-       several buffers never changes the totals. *)
-    Obs.Buffer.incr x;
-    Obs.Buffer.flush b;
-    Alcotest.(check (list (pair string int)))
-      "second flush adds" [ ("x", 6); ("y", 2) ]
-      (Obs.Registry.counters r)
-
-  let same_name_same_cell () =
-    let b = Obs.Buffer.create ~registry:(Obs.Registry.create ()) () in
-    Obs.Buffer.incr (Obs.Buffer.cell b "x");
-    Obs.Buffer.incr (Obs.Buffer.cell b "x");
-    Alcotest.(check int) "one cell" 2 (Obs.Buffer.value (Obs.Buffer.cell b "x"))
-
-  let tests =
-    [
-      Alcotest.test_case "accumulate and flush" `Quick accumulate_and_flush;
-      Alcotest.test_case "same name, same cell" `Quick same_name_same_cell;
-    ]
-end
-
 (* --- Logger ----------------------------------------------------------- *)
 
 module Logger_tests = struct
@@ -308,7 +264,6 @@ let () =
       ("json", Json_tests.tests);
       ("metric", Metric_tests.tests);
       ("registry", Registry_tests.tests);
-      ("buffer", Buffer_tests.tests);
       ("logger", Logger_tests.tests);
       ("manifest", Manifest_tests.tests);
     ]

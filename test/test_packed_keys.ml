@@ -1,18 +1,11 @@
-(* Differential tests for the packed-int key representations: the packed
-   collector dedup ([`Packed] vs the tuple-keyed [`Tuple] reference path)
-   and the packed analysis memo must be invisible — byte-identical
-   records, reports, stats and counter snapshots on random traces — and
-   the packers themselves must be injective inside their field widths and
-   refuse (spill / raise) outside them. *)
-
-let with_counters f =
-  Obs.Registry.reset Obs.Registry.global;
-  let x = f () in
-  (x, Obs.Registry.counters Obs.Registry.global)
+(* Tests for the packed-int key representations: the packers must be
+   injective inside their field widths and refuse (spill / raise) outside
+   them, and traces whose keys overflow a field must still be analysed
+   exactly as the executable specification says. *)
 
 (* --- random traces ---------------------------------------------------- *)
 
-(* Like test_par_analysis's generator but nastier for key packing: more
+(* A random-trace generator built to be nasty for key packing: several
    threads, unaligned multi-byte accesses that straddle words (so one
    record registers under several dedup tables) and a wider site space. *)
 module Gen = struct
@@ -120,89 +113,77 @@ module Gen = struct
       gen_trace
 end
 
-(* --- collector dedup differential ------------------------------------- *)
+(* --- spill tables ------------------------------------------------------ *)
 
-module Collect_tests = struct
-  let same_result (a : Hawkset.Collector.result) (b : Hawkset.Collector.result)
-      =
-    a.Hawkset.Collector.words = b.Hawkset.Collector.words
-    && a.Hawkset.Collector.slots = b.Hawkset.Collector.slots
-    && a.Hawkset.Collector.windows_of = b.Hawkset.Collector.windows_of
-    && a.Hawkset.Collector.loads_of = b.Hawkset.Collector.loads_of
-    && a.Hawkset.Collector.stats = b.Hawkset.Collector.stats
+module Spill_tests = struct
+  (* Thread ids at or above 2^tid_bits do not fit a packed dedup key, so
+     every window and load record of a shifted thread goes through the
+     collector's tuple-keyed spill tables. *)
+  let tid_shift = 1 lsl Trace.Packed_key.tid_bits
 
-  (* The tentpole property for stage 1-2: packed dedup keys change
-     nothing — same records in the same order, same stats, same counter
-     snapshot, and downstream the same report. *)
-  let differential irh =
+  let shift t =
+    if Trace.Tid.equal t Trace.Tid.main then t
+    else Trace.Tid.of_int (Trace.Tid.to_int t + tid_shift)
+
+  let shift_event (ev : Trace.Event.t) : Trace.Event.t =
+    match ev with
+    | Store r -> Store { r with tid = shift r.tid }
+    | Load r -> Load { r with tid = shift r.tid }
+    | Flush r -> Flush { r with tid = shift r.tid }
+    | Fence r -> Fence { r with tid = shift r.tid }
+    | Lock_acquire r -> Lock_acquire { r with tid = shift r.tid }
+    | Lock_release r -> Lock_release { r with tid = shift r.tid }
+    | Thread_create r ->
+        Thread_create { parent = shift r.parent; child = shift r.child }
+    | Thread_join r ->
+        Thread_join { waiter = shift r.waiter; joined = shift r.joined }
+
+  let shifted trace =
+    Trace.Tracebuf.of_list (List.map shift_event (Trace.Tracebuf.to_list trace))
+
+  (* The spilled path must produce the specification's report byte for
+     byte, exactly as the packed path does. *)
+  let matches_spec irh =
     QCheck.Test.make
-      ~name:(Printf.sprintf "packed dedup == tuple dedup (irh=%b)" irh)
+      ~name:
+        (Printf.sprintf "tids >= %d: pipeline == specification (irh=%b)"
+           tid_shift irh)
       ~count:120 Gen.arb_trace
       (fun trace ->
-        let (packed, packed_report), packed_counters =
-          with_counters (fun () ->
-              let c = Hawkset.Collector.collect ~irh ~dedup:`Packed trace in
-              (c, (Hawkset.Analysis.run c).Hawkset.Analysis.report))
-        in
-        let (tuple, tuple_report), tuple_counters =
-          with_counters (fun () ->
-              let c = Hawkset.Collector.collect ~irh ~dedup:`Tuple trace in
-              (c, (Hawkset.Analysis.run c).Hawkset.Analysis.report))
-        in
-        same_result packed tuple
-        && Hawkset.Report.to_json packed_report
-           = Hawkset.Report.to_json tuple_report
-        && packed_counters = tuple_counters)
+        let t = shifted trace in
+        let config = { Hawkset.Pipeline.default with Hawkset.Pipeline.irh } in
+        Hawkset.Report.to_json (Hawkset.Pipeline.races ~config t)
+        = Hawkset.Report.to_json
+            (Hawkset.Reference.pipeline
+               ~config:(Hawkset.Reference.config_of_pipeline config)
+               t))
 
-  let eadr_and_ablation =
-    QCheck.Test.make ~name:"packed == tuple under eadr / no-timestamps"
+  (* The same holds for the collector's other two knobs: eADR on, and the
+     timestamp extension off. *)
+  let matches_spec_variants =
+    QCheck.Test.make
+      ~name:(Printf.sprintf "tids >= %d under eadr / no-timestamps" tid_shift)
       ~count:40 Gen.arb_trace
       (fun trace ->
+        let t = shifted trace in
         List.for_all
-          (fun (eadr, timestamps) ->
-            let c d =
-              Hawkset.Collector.collect ~eadr ~timestamps ~dedup:d trace
-            in
-            same_result (c `Packed) (c `Tuple))
-          [ (true, true); (false, false) ])
+          (fun config ->
+            Hawkset.Report.to_json (Hawkset.Pipeline.races ~config t)
+            = Hawkset.Report.to_json
+                (Hawkset.Reference.pipeline
+                   ~config:(Hawkset.Reference.config_of_pipeline config)
+                   t))
+          [
+            { Hawkset.Pipeline.default with Hawkset.Pipeline.eadr = true };
+            { Hawkset.Pipeline.default with Hawkset.Pipeline.timestamps = false };
+          ])
 
   let tests =
     [
-      QCheck_alcotest.to_alcotest (differential false);
-      QCheck_alcotest.to_alcotest (differential true);
-      QCheck_alcotest.to_alcotest eadr_and_ablation;
+      QCheck_alcotest.to_alcotest (matches_spec true);
+      QCheck_alcotest.to_alcotest (matches_spec false);
+      QCheck_alcotest.to_alcotest matches_spec_variants;
     ]
-end
-
-(* --- analysis memo differential --------------------------------------- *)
-
-module Memo_tests = struct
-  (* Packed memo keys change neither the outcome nor any counter, both
-     sequentially and across shard counts. *)
-  let differential =
-    QCheck.Test.make ~name:"packed memo == tuple memo (seq and jobs=4)"
-      ~count:120 Gen.arb_trace
-      (fun trace ->
-        let c = Hawkset.Collector.collect trace in
-        let packed, packed_counters =
-          with_counters (fun () -> Hawkset.Analysis.run ~memo_impl:`Packed c)
-        in
-        let tuple, tuple_counters =
-          with_counters (fun () -> Hawkset.Analysis.run ~memo_impl:`Tuple c)
-        in
-        let par_tuple, par_tuple_counters =
-          with_counters (fun () ->
-              Hawkset.Par_analysis.analyse ~jobs:4 ~memo_impl:`Tuple c)
-        in
-        Hawkset.Report.to_json packed.Hawkset.Analysis.report
-        = Hawkset.Report.to_json tuple.Hawkset.Analysis.report
-        && packed.Hawkset.Analysis.pairs = tuple.Hawkset.Analysis.pairs
-        && packed_counters = tuple_counters
-        && Hawkset.Report.to_json par_tuple.Hawkset.Analysis.report
-           = Hawkset.Report.to_json packed.Hawkset.Analysis.report
-        && par_tuple_counters = packed_counters)
-
-  let tests = [ QCheck_alcotest.to_alcotest differential ]
 end
 
 (* --- the packers themselves ------------------------------------------- *)
@@ -310,7 +291,6 @@ end
 let () =
   Alcotest.run "packed_keys"
     [
-      ("collector dedup", Collect_tests.tests);
-      ("analysis memo", Memo_tests.tests);
+      ("spill tables", Spill_tests.tests);
       ("packers", Key_tests.tests);
     ]

@@ -99,14 +99,6 @@ module Config_fp = struct
     Alcotest.(check string) "deterministic" a b;
     Alcotest.(check int) "16 hex digits" 16 (String.length a)
 
-  let jobs_excluded () =
-    (* Any jobs value produces bit-identical reports, so it must not
-       split the key space. *)
-    let base = Hawkset.Pipeline.default in
-    Alcotest.(check string) "jobs=4 same key"
-      (RC.config_fingerprint base)
-      (RC.config_fingerprint { base with Hawkset.Pipeline.jobs = 4 })
-
   let semantic_knobs_included () =
     let base = Hawkset.Pipeline.default in
     Alcotest.(check bool) "event budget changes key" true
@@ -117,7 +109,6 @@ module Config_fp = struct
   let tests =
     [
       Alcotest.test_case "stable" `Quick stable;
-      Alcotest.test_case "jobs excluded" `Quick jobs_excluded;
       Alcotest.test_case "semantic knobs included" `Quick
         semantic_knobs_included;
     ]

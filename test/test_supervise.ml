@@ -1,6 +1,6 @@
 (* Tests for the supervision layer: the journal substrate, the budget
    guard, failure classification, deterministic backoff, the retry /
-   degradation / circuit-breaker state machine, and the crash-safe
+   circuit-breaker state machine, and the crash-safe
    resume contract (kill + resume => byte-identical merged report). *)
 
 let with_tmp f =
@@ -14,8 +14,8 @@ module Journal_tests = struct
   let sample =
     [
       record "batch" [ "deadbeef"; "3" ] None;
-      record "start" [ "0"; "1"; "0" ] None;
-      record "done" [ "0"; "1"; "0"; "0" ] (Some "[{\"a\": 1}]\nline two");
+      record "start" [ "0"; "1" ] None;
+      record "done" [ "0"; "1"; "0" ] (Some "[{\"a\": 1}]\nline two");
       record "fail" [ "1"; "1"; "timeout" ] None;
     ]
 
@@ -324,13 +324,18 @@ module Run_tests = struct
         Alcotest.(check bool) "history" true (d_failures = [ Supervise.Timeout ])
     | _ -> Alcotest.fail "expected Done"
 
-  let oom_degrades_to_sequential () =
+  (* Heap exhaustion and a lost worker have no fallback of their own:
+     like any failure class they cost one attempt and are retried. *)
+  let retried_like_any cls () =
     let b =
-      Supervise.run
-        ~config:(config ~faults:[ fault 0 Supervise.Oom 1 ] ())
-        (jobs ())
+      Supervise.run ~config:(config ~faults:[ fault 0 cls 1 ] ()) (jobs ())
     in
-    Alcotest.(check string) "status" "ok-sequential" (status_of 0 b)
+    Alcotest.(check string) "status" "ok-retried" (status_of 0 b);
+    match (List.hd b.Supervise.b_results).Supervise.jr_status with
+    | Supervise.Done { d_attempts; d_failures; _ } ->
+        Alcotest.(check int) "attempts" 2 d_attempts;
+        Alcotest.(check bool) "history" true (d_failures = [ cls ])
+    | _ -> Alcotest.fail "expected Done"
 
   let permanent_fault_bounded () =
     let attempts = 3 in
@@ -579,7 +584,7 @@ module Run_tests = struct
           | _ -> true
           | exception Not_found -> false))
       [
-        "\"schema\":\"hawkset.batch_report/1\"";
+        "\"schema\":\"hawkset.batch_report/2\"";
         "\"status\":\"ok-retried\"";
         "\"failures\":[\"timeout\"]";
         "\"races\":[";
@@ -592,8 +597,10 @@ module Run_tests = struct
       Alcotest.test_case "clean run" `Quick clean_run;
       Alcotest.test_case "transient fault retried" `Quick
         transient_fault_retried;
-      Alcotest.test_case "oom degrades to sequential" `Quick
-        oom_degrades_to_sequential;
+      Alcotest.test_case "oom retried" `Quick
+        (retried_like_any Supervise.Oom);
+      Alcotest.test_case "worker loss retried" `Quick
+        (retried_like_any Supervise.Worker_lost);
       Alcotest.test_case "permanent fault bounded" `Quick
         permanent_fault_bounded;
       Alcotest.test_case "breaker quarantines" `Quick breaker_quarantines;

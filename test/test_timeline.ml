@@ -26,11 +26,10 @@ let with_fake_clock src f =
   Obs.Clock.set_source src;
   Fun.protect ~finally:(fun () -> Obs.Clock.set_source Unix.gettimeofday) f
 
-let pipeline_signatures ~jobs ~seed ~ops () =
+let pipeline_signatures ~seed ~ops () =
   let report = entry.Pmapps.Registry.run ~seed ~ops () in
   Obs.Timeline.reset ();
-  let config = { Hawkset.Pipeline.default with Hawkset.Pipeline.jobs } in
-  let _ = Hawkset.Pipeline.run ~config report.Machine.Sched.trace in
+  let _ = Hawkset.Pipeline.run report.Machine.Sched.trace in
   List.map
     (fun lane -> (lane, Obs.Timeline.signature lane))
     (Obs.Timeline.used_lanes ())
@@ -150,15 +149,16 @@ module Determinism_tests = struct
      per-lane event sequences (timestamps excluded by {!signature}). *)
   let same_seed_same_signatures () =
     with_timeline (fun () ->
-        let s1 = pipeline_signatures ~jobs:2 ~seed:7 ~ops:400 () in
-        let s2 = pipeline_signatures ~jobs:2 ~seed:7 ~ops:400 () in
-        Alcotest.(check int) "two lanes used" 2 (List.length s1);
+        let s1 = pipeline_signatures ~seed:7 ~ops:400 () in
+        let s2 = pipeline_signatures ~seed:7 ~ops:400 () in
+        Alcotest.(check (list int)) "only the caller lane" [ 0 ]
+          (List.map fst s1);
         Alcotest.(check (list (pair int string)))
           "per-lane signatures byte-identical" s1 s2)
 
   let expected_lane0_shape () =
     with_timeline (fun () ->
-        let sigs = pipeline_signatures ~jobs:2 ~seed:7 ~ops:400 () in
+        let sigs = pipeline_signatures ~seed:7 ~ops:400 () in
         let lane0 = List.assoc 0 sigs in
         List.iter
           (fun needle ->
@@ -166,32 +166,44 @@ module Determinism_tests = struct
               (contains ~needle lane0))
           [
             "B pipeline"; "B pipeline.collect"; "B collector.collect";
-            "E collector.collect"; "B pipeline.analyse"; "B analysis.shard 0";
-            "E analysis.shard 0"; "E pipeline";
-          ];
-        (* Shard 1 runs on the pool worker's lane, never the caller's. *)
-        Alcotest.(check bool) "shard 1 not on lane 0" false
-          (contains ~needle:"B analysis.shard 1" lane0);
-        let lane1 = List.assoc 1 sigs in
-        Alcotest.(check string)
-          "worker lane is exactly its shard"
-          "B analysis.shard 1\nE analysis.shard 1\ndropped 0\n" lane1)
+            "E collector.collect"; "B pipeline.analyse";
+            "B analysis.sequential"; "E analysis.sequential"; "E pipeline";
+          ])
 
-  let sequential_uses_one_lane () =
+  (* Queue tasks record on their slot's lane: two slots use at most lanes
+     0 and 1, and every task's event lands on exactly one of them. *)
+  let queue_tasks_use_slot_lanes () =
+    let pool = Hawkset.Domain_pool.create () in
+    Fun.protect ~finally:(fun () -> Hawkset.Domain_pool.shutdown pool)
+    @@ fun () ->
     with_timeline (fun () ->
-        let sigs = pipeline_signatures ~jobs:1 ~seed:7 ~ops:400 () in
-        Alcotest.(check (list int)) "only the caller lane" [ 0 ]
-          (List.map fst sigs);
-        Alcotest.(check bool) "sequential analysis event" true
-          (contains ~needle:"B analysis.sequential" (List.assoc 0 sigs)))
+        Obs.Timeline.reset ();
+        let h = Obs.Timeline.name "queue_task" in
+        let n = 12 in
+        Array.iter
+          (function Ok () -> () | Error e -> raise e)
+          (Hawkset.Domain_pool.run_queue pool ~workers:2
+             (Array.init n (fun i () -> Obs.Timeline.instant h ~arg:i)));
+        let lanes = Obs.Timeline.used_lanes () in
+        Alcotest.(check bool) "lanes within the slots" true
+          (List.for_all (fun l -> l = 0 || l = 1) lanes);
+        let args =
+          List.concat_map
+            (fun l ->
+              List.map (fun e -> e.Obs.Timeline.ev_arg) (Obs.Timeline.events l))
+            lanes
+        in
+        Alcotest.(check (list int)) "each task once"
+          (List.init n Fun.id)
+          (List.sort compare args))
 
   let tests =
     [
       Alcotest.test_case "same seed, same signatures" `Slow
         same_seed_same_signatures;
       Alcotest.test_case "lane 0 event shape" `Slow expected_lane0_shape;
-      Alcotest.test_case "jobs=1 stays on lane 0" `Slow
-        sequential_uses_one_lane;
+      Alcotest.test_case "queue tasks use slot lanes" `Quick
+        queue_tasks_use_slot_lanes;
     ]
 end
 
@@ -200,9 +212,34 @@ end
 module Mini_json = Test_util.Mini_json
 
 module Export_tests = struct
+  (* Four queue tasks on a fresh four-slot pool, each collecting and
+     analysing the same trace on its own lane. A barrier holds every task
+     until all four have started, so no slot can drain a second task and
+     each lane gets exactly one. *)
   let export () =
+    let trace =
+      (entry.Pmapps.Registry.run ~seed:7 ~ops:400 ()).Machine.Sched.trace
+    in
+    let pool = Hawkset.Domain_pool.create () in
+    Fun.protect ~finally:(fun () -> Hawkset.Domain_pool.shutdown pool)
+    @@ fun () ->
     with_timeline (fun () ->
-        ignore (pipeline_signatures ~jobs:4 ~seed:7 ~ops:400 ());
+        Obs.Timeline.reset ();
+        let m = Mutex.create () and c = Condition.create () in
+        let started = ref 0 in
+        let task () =
+          Mutex.lock m;
+          incr started;
+          Condition.broadcast c;
+          while !started < 4 do
+            Condition.wait c m
+          done;
+          Mutex.unlock m;
+          ignore (Hawkset.Analysis.run (Hawkset.Collector.collect trace))
+        in
+        Array.iter
+          (function Ok () -> () | Error e -> raise e)
+          (Hawkset.Domain_pool.run_queue pool ~workers:4 (Array.make 4 task));
         Obs.Timeline.to_chrome_json ())
 
   let valid_json_and_monotone () =
@@ -247,7 +284,7 @@ module Export_tests = struct
             Hashtbl.replace last tid ts
         | ph -> Alcotest.fail ("unexpected ph " ^ ph))
       evs;
-    (* One thread_name lane per pool domain: jobs=4 -> lanes 0..3. *)
+    (* One thread_name lane per pool slot: 4 slots -> lanes 0..3. *)
     Alcotest.(check int) "4 labelled lanes" 4 (Hashtbl.length lanes);
     List.iter
       (fun lane ->
@@ -322,13 +359,12 @@ end
 (* --- bug provenance --------------------------------------------------- *)
 
 module Provenance_tests = struct
-  let races ~jobs =
+  let races () =
     let report = entry.Pmapps.Registry.run ~seed:7 ~ops:400 () in
-    let config = { Hawkset.Pipeline.default with Hawkset.Pipeline.jobs } in
-    Hawkset.Pipeline.races ~config report.Machine.Sched.trace
+    Hawkset.Pipeline.races report.Machine.Sched.trace
 
   let every_report_has_a_witness () =
-    let races = races ~jobs:1 in
+    let races = races () in
     Alcotest.(check bool) "found races" true (Hawkset.Report.count races > 0);
     List.iter
       (fun (r : Hawkset.Report.race) ->
@@ -351,7 +387,7 @@ module Provenance_tests = struct
       (Hawkset.Report.sorted races)
 
   let witness_in_json () =
-    let j = Hawkset.Report.to_json (races ~jobs:1) in
+    let j = Hawkset.Report.to_json (races ()) in
     List.iter
       (fun needle ->
         Alcotest.(check bool) ("json has " ^ needle) true (contains ~needle j))
@@ -361,16 +397,8 @@ module Provenance_tests = struct
         {|"load_vclock":|};
       ]
 
-  let witness_identical_across_jobs () =
-    (* Witnesses ride the first-witness-wins merge, so the full JSON —
-       provenance included — is byte-identical for any jobs count. *)
-    Alcotest.(check string)
-      "to_json identical jobs=1 vs jobs=4"
-      (Hawkset.Report.to_json (races ~jobs:1))
-      (Hawkset.Report.to_json (races ~jobs:4))
-
   let pp_witness_renders () =
-    let races = races ~jobs:1 in
+    let races = races () in
     match
       List.filter_map
         (fun (r : Hawkset.Report.race) -> r.Hawkset.Report.witness)
@@ -390,8 +418,6 @@ module Provenance_tests = struct
       Alcotest.test_case "every report has a witness" `Slow
         every_report_has_a_witness;
       Alcotest.test_case "witness in to_json" `Slow witness_in_json;
-      Alcotest.test_case "witness identical across jobs" `Slow
-        witness_identical_across_jobs;
       Alcotest.test_case "pp_witness renders" `Slow pp_witness_renders;
     ]
 end
