@@ -383,8 +383,7 @@ let batch_smoke ~full =
    byte-identical to the sequential walk in <= 0.6x its wall-clock, and
    a duplicate-heavy (round-robin) explore sweep with a result cache
    must record hits while the stability oracle still passes and the
-   reports stay identical to the uncached run. Both sweeps also feed the
-   `json` target's BENCH_pipeline.json batch/cache sections. *)
+   reports stay identical to the uncached run. *)
 
 type batch_par_point = {
   bp_jobs : int;
@@ -439,7 +438,6 @@ type cache_point = {
   cp_hits : int;
   cp_misses : int;
   cp_entries : int;
-  cp_bytes : int;
 }
 
 let explore_cache_sweep ~full =
@@ -482,7 +480,6 @@ let explore_cache_sweep ~full =
     cp_hits = stat "cache.hits";
     cp_misses = stat "cache.misses";
     cp_entries = stat "cache.entries";
-    cp_bytes = stat "cache.bytes";
   }
 
 let batch_par ~full =
@@ -516,83 +513,7 @@ let batch_par ~full =
   if cp.cp_hits = 0 then begin
     Printf.eprintf "batch-par FAIL: explore cache recorded no hits\n";
     exit 1
-  end;
-  (bp, cp)
-
-(* ---- pipeline perf-trajectory emitter (BENCH_pipeline.json) ----
-   One instrumented fast-fair run per workload size: per-stage seconds,
-   peak live heap and the deterministic counter snapshot, machine-readable
-   so CI can archive the trajectory per commit. *)
-
-let bench_json ?batch_cache ~full () =
-  let sizes = if full then [ 1_000; 10_000; 100_000 ] else [ 1_000; 4_000 ] in
-  let entry =
-    match Pmapps.Registry.find "fast-fair" with
-    | Some e -> e
-    | None -> failwith "fast-fair not registered"
-  in
-  let points =
-    List.map
-      (fun ops ->
-        let r = Harness.Stats.instrumented_run ~entry ~seed:42 ~ops () in
-        let m = r.Harness.Stats.manifest in
-        Obs.Json.obj
-          [
-            ("ops", Obs.Json.int ops);
-            ( "stages",
-              Obs.Json.obj
-                (List.map
-                   (fun (s : Obs.Manifest.stage) ->
-                     (s.Obs.Manifest.stage_name,
-                      Obs.Json.float s.Obs.Manifest.stage_seconds))
-                   m.Obs.Manifest.stages) );
-            ("peak_live_mb", Obs.Json.float r.Harness.Stats.peak_mb);
-            ("final_live_mb", Obs.Json.float r.Harness.Stats.final_live_mb);
-            ( "counters",
-              Obs.Json.obj
-                (List.map
-                   (fun (k, v) -> (k, Obs.Json.int v))
-                   m.Obs.Manifest.counters) );
-          ])
-      sizes
-  in
-  let bp, cp =
-    match batch_cache with
-    | Some bc -> bc
-    | None -> (batch_par_sweep ~full, explore_cache_sweep ~full)
-  in
-  let doc =
-    Obs.Json.obj
-      [
-        ("schema", Obs.Json.str "hawkset.bench_pipeline/4");
-        ("app", Obs.Json.str "fast-fair");
-        ("seed", Obs.Json.int 42);
-        ("points", Obs.Json.arr points);
-        ( "batch",
-          Obs.Json.obj
-            [
-              ("jobs", Obs.Json.int bp.bp_jobs);
-              ("job_workers_1_s", Obs.Json.float bp.bp_seq_s);
-              ("job_workers_4_s", Obs.Json.float bp.bp_par_s);
-              ("ratio", Obs.Json.float bp.bp_ratio);
-            ] );
-        ( "cache",
-          Obs.Json.obj
-            [
-              ("schedules", Obs.Json.int cp.cp_schedules);
-              ("hits", Obs.Json.int cp.cp_hits);
-              ("misses", Obs.Json.int cp.cp_misses);
-              ("entries", Obs.Json.int cp.cp_entries);
-              ("bytes", Obs.Json.int cp.cp_bytes);
-            ] );
-      ]
-  in
-  let file = "BENCH_pipeline.json" in
-  let oc = open_out file in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d points)\n" file (List.length points)
+  end
 
 (* ---- conformance fuzz (the `check` target) ----
    A bounded differential-fuzzing pass: production pipeline vs the
@@ -627,7 +548,7 @@ let () =
   let any =
     List.exists wants
       [ "table1"; "table2"; "table3"; "table4"; "figure6"; "ablation";
-        "micro"; "json"; "--json"; "crash-sweep"; "perf-smoke";
+        "micro"; "crash-sweep"; "perf-smoke";
         "explore"; "batch-smoke"; "batch-par"; "check" ]
   in
   let run name f = if (not any) || wants name then f ~full in
@@ -650,10 +571,6 @@ let () =
      twice over (golden + kill/resume). *)
   if wants "batch-smoke" then batch_smoke ~full;
   (* `batch-par` is opt-in only: it times the same batch six times over
-     (3 reps x 2 widths) plus two explore sweeps. When `json` also runs,
-     its measurements are reused for the batch/cache sections. *)
-  let batch_cache = if wants "batch-par" then Some (batch_par ~full) else None in
-  (* `json` (or `--json`) is opt-in only: it is not part of the default
-     everything-run because it re-executes instrumented workloads. *)
-  if wants "json" || wants "--json" then bench_json ?batch_cache ~full ();
+     (3 reps x 2 widths) plus two explore sweeps. *)
+  if wants "batch-par" then batch_par ~full;
   if (not any) || wants "micro" then micro ()

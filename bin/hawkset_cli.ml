@@ -184,17 +184,18 @@ let trace_out_arg =
            when this flag is absent.")
 
 (* Timeline capture brackets a whole subcommand: cleared and enabled up
-   front (only when requested), drained into the trace file and into
-   gauge-quarantined per-stage duration stats at the end. *)
+   front (only when requested), drained into the trace file at the end.
+   Stage timings need neither: the span table behind [--stats] is always
+   on. *)
 let start_timeline trace_out =
   if trace_out <> None then begin
     Obs.Timeline.reset ();
     Obs.Timeline.set_enabled true
   end
 
-let finish_timeline trace_out manifest =
+let finish_timeline trace_out =
   match trace_out with
-  | None -> manifest
+  | None -> ()
   | Some file -> (
       Obs.Timeline.set_enabled false;
       try
@@ -202,14 +203,7 @@ let finish_timeline trace_out manifest =
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () -> output_string oc (Obs.Timeline.to_chrome_json ()));
-        Format.printf "wrote timeline trace to %s@." file;
-        {
-          manifest with
-          Obs.Manifest.gauges =
-            List.sort
-              (fun (a, _) (b, _) -> String.compare a b)
-              (manifest.Obs.Manifest.gauges @ Obs.Timeline.duration_gauges ());
-        }
+        Format.printf "wrote timeline trace to %s@." file
       with Sys_error msg ->
         Format.eprintf "cannot write timeline trace: %s@." msg;
         exit 1)
@@ -255,16 +249,15 @@ let run_cmd =
         | `Pmrace ->
             (* Observation-based detection needs delay injection and the
                runtime monitor; reports are direct observations. *)
-            Obs.Registry.reset Obs.Registry.global;
-            let report, peak_mb =
-              Harness.Metrics.with_live_mb (fun () ->
-                  Obs.Registry.with_span "run" (fun () ->
-                      Obs.Registry.with_span "execute" (fun () ->
-                          entry.Pmapps.Registry.run ~seed
-                            ~policy:
-                              (Machine.Sched.Delay_injection
-                                 { probability = 0.05; duration = 40 })
-                            ~observe:true ~ops ())))
+            let (report, ()), manifest =
+              Harness.Stats.measured_run ~labels:(labels "pmrace")
+                ~execute:(fun () ->
+                  entry.Pmapps.Registry.run ~seed
+                    ~policy:
+                      (Machine.Sched.Delay_injection
+                         { probability = 0.05; duration = 40 })
+                    ~observe:true ~ops ())
+                ~analyse:ignore
             in
             Format.printf "%d directly-observed inconsistencies:@."
               (List.length report.Machine.Sched.observations);
@@ -274,15 +267,8 @@ let run_cmd =
                   o.Machine.Sched.obs_store_site Trace.Site.pp
                   o.Machine.Sched.obs_load_site)
               report.Machine.Sched.observations;
-            emit_stats ~stats ~stats_json
-              (finish_timeline trace_out
-                 (Obs.Manifest.of_registry ~labels:(labels "pmrace")
-                    ~extra_gauges:
-                      [
-                        ("peak_live_mb", peak_mb);
-                        ("final_live_mb", Harness.Metrics.final_live_mb ());
-                      ]
-                    Obs.Registry.global))
+            finish_timeline trace_out;
+            emit_stats ~stats ~stats_json manifest
         | `Hawkset ->
             let config =
               { Hawkset.Pipeline.default with irh = not no_irh; eadr;
@@ -298,25 +284,16 @@ let run_cmd =
                 (Hawkset.Report.count races);
               classify_races entry races
             end;
-            emit_stats ~stats ~stats_json
-              (finish_timeline trace_out r.Harness.Stats.manifest);
+            finish_timeline trace_out;
+            emit_stats ~stats ~stats_json r.Harness.Stats.manifest;
             check_truncated ~allow:allow_truncated
               r.Harness.Stats.pipeline.Hawkset.Pipeline.truncated
         | `Eraser ->
-            Obs.Registry.reset Obs.Registry.global;
-            let (report, races), peak_mb =
-              Harness.Metrics.with_live_mb (fun () ->
-                  Obs.Registry.with_span "run" (fun () ->
-                      let report =
-                        Obs.Registry.with_span "execute" (fun () ->
-                            entry.Pmapps.Registry.run ~seed ~ops ())
-                      in
-                      let races =
-                        Obs.Registry.with_span "analyse" (fun () ->
-                            Baselines.Eraser.analyse
-                              report.Machine.Sched.trace)
-                      in
-                      (report, races)))
+            let (report, races), manifest =
+              Harness.Stats.measured_run ~labels:(labels "eraser")
+                ~execute:(fun () -> entry.Pmapps.Registry.run ~seed ~ops ())
+                ~analyse:(fun r ->
+                  Baselines.Eraser.analyse r.Machine.Sched.trace)
             in
             if json then print_endline (Hawkset.Report.to_json races)
             else begin
@@ -325,15 +302,8 @@ let run_cmd =
                 (Hawkset.Report.count races);
               classify_races entry races
             end;
-            emit_stats ~stats ~stats_json
-              (finish_timeline trace_out
-                 (Obs.Manifest.of_registry ~labels:(labels "eraser")
-                    ~extra_gauges:
-                      [
-                        ("peak_live_mb", peak_mb);
-                        ("final_live_mb", Harness.Metrics.final_live_mb ());
-                      ]
-                    Obs.Registry.global)))
+            finish_timeline trace_out;
+            emit_stats ~stats ~stats_json manifest)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application under a detector.")
@@ -414,44 +384,25 @@ let analyze_cmd =
         ("events", string_of_int (Trace.Tracebuf.length trace)) ]
     in
     let races, manifest, truncated =
-      if eraser then begin
-        Obs.Registry.reset Obs.Registry.global;
-        let races, peak_mb =
-          Harness.Metrics.with_live_mb (fun () ->
-              Obs.Registry.with_span "analyse" (fun () ->
-                  Baselines.Eraser.analyse trace))
+      if eraser then
+        let races, manifest =
+          Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
+              Baselines.Eraser.analyse trace)
         in
-        ( races,
-          Obs.Manifest.of_registry ~labels:(labels "eraser")
-            ~extra_gauges:
-              [
-                ("peak_live_mb", peak_mb);
-                ("final_live_mb", Harness.Metrics.final_live_mb ());
-              ]
-            Obs.Registry.global,
-          [] )
-      end
+        (races, manifest, [])
       else
         let config =
           { Hawkset.Pipeline.default with irh = not no_irh; eadr;
             event_budget }
         in
-        let res, peak_mb =
-          Harness.Metrics.with_live_mb (fun () ->
-              Hawkset.Pipeline.run ~config trace)
+        let res, manifest =
+          Harness.Stats.measured ~labels:(labels "hawkset") (fun () ->
+              Harness.Stats.hawkset_pipeline ~config trace)
         in
         if stats then
           Format.printf "collector: %a@.@." Hawkset.Collector.pp_stats
             res.Hawkset.Pipeline.collector_stats;
-        ( res.Hawkset.Pipeline.races,
-          Harness.Stats.manifest_of_pipeline ~labels:(labels "hawkset")
-            ~extra_gauges:
-              [
-                ("peak_live_mb", peak_mb);
-                ("final_live_mb", Harness.Metrics.final_live_mb ());
-              ]
-            res,
-          res.Hawkset.Pipeline.truncated )
+        (res.Hawkset.Pipeline.races, manifest, res.Hawkset.Pipeline.truncated)
     in
     if json then print_endline (Hawkset.Report.to_json races)
     else begin
@@ -461,7 +412,8 @@ let analyze_cmd =
         (Trace.Tracebuf.stats trace);
       Format.printf "%a@." Hawkset.Report.pp races
     end;
-    emit_stats ~stats ~stats_json (finish_timeline trace_out manifest);
+    finish_timeline trace_out;
+    emit_stats ~stats ~stats_json manifest;
     check_truncated ~allow:allow_truncated truncated
   in
   let file =
@@ -633,8 +585,8 @@ let crash_sweep_cmd =
       List.iter
         (fun row -> print_string (Harness.Crash_sweep.details_string row))
         rows;
-    emit_stats ~stats ~stats_json
-      (finish_timeline trace_out (Harness.Crash_sweep.manifest_of_sweeps rows))
+    finish_timeline trace_out;
+    emit_stats ~stats ~stats_json (Harness.Crash_sweep.manifest_of_sweeps rows)
   in
   let apps =
     Arg.(
@@ -1154,9 +1106,9 @@ let check_cmd =
         ("max_events", string_of_int max_events);
         ("seed", string_of_int seed) ]
     in
+    finish_timeline trace_out;
     emit_stats ~stats ~stats_json
-      (finish_timeline trace_out
-         (Obs.Manifest.of_registry ~labels Obs.Registry.global));
+      (Obs.Manifest.of_registry ~labels Obs.Registry.global);
     if not ok then exit 1
   in
   let traces =

@@ -166,15 +166,15 @@ let recover _ctx ~base = { base; reused = 0 }
 (* ---- chain operations (all lock-free) ---- *)
 
 let find t ctx key =
-  let rec walk item =
-    if item = 0 then None
+  let rec walk g item =
+    if item = 0 || Cycle_guard.revisits g item then None
     else if
       Int64.to_int (S.load_i64 ctx chain_key_load_pos (item + off_key)) = key
     then Some item
     else
-      walk (Int64.to_int (S.load_i64 ctx chain_next_load_pos (item + off_next)))
+      walk g (Int64.to_int (S.load_i64 ctx chain_next_load_pos (item + off_next)))
   in
-  walk
+  walk (Cycle_guard.create ())
     (Int64.to_int
        (S.load_i64 ctx bucket_head_load_pos (bucket_addr t (hash key))))
 
@@ -262,9 +262,9 @@ let concat op t ctx ~key ~value =
       let bucket = bucket_addr t (hash key) in
       let next = S.load_i64 ctx chain_next_load_pos (old_item + off_next) in
       S.store_i64 ctx bug13_store_pos (item + off_next) next;
-      let rec swap prev_addr =
+      let rec swap g prev_addr =
         let cur = Int64.to_int (S.load_i64 ctx chain_next_load_pos prev_addr) in
-        if cur = 0 then false
+        if cur = 0 || Cycle_guard.revisits g cur then false
         else if cur = old_item then
           if
             S.cas_i64 ctx __POS__ prev_addr ~expected:(Int64.of_int old_item)
@@ -274,9 +274,9 @@ let concat op t ctx ~key ~value =
             true
           end
           else false (* concurrent unlink: drop the concat *)
-        else swap (cur + off_next)
+        else swap g (cur + off_next)
       in
-      swap bucket
+      swap (Cycle_guard.create ()) bucket
 
 let append t ctx ~key ~value = concat `Append t ctx ~key ~value
 let prepend t ctx ~key ~value = concat `Prepend t ctx ~key ~value
@@ -300,9 +300,9 @@ let delete t ctx ~key =
   S.with_frame ctx "mc_delete" @@ fun () ->
   let bucket = bucket_addr t (hash key) in
   (* Unlink with CAS on the predecessor's next word (head included). *)
-  let rec walk prev_addr =
+  let rec walk g prev_addr =
     let item = Int64.to_int (S.load_i64 ctx chain_next_load_pos prev_addr) in
-    if item = 0 then ()
+    if item = 0 || Cycle_guard.revisits g item then ()
     else if
       Int64.to_int (S.load_i64 ctx chain_key_load_pos (item + off_key)) = key
     then begin
@@ -313,9 +313,9 @@ let delete t ctx ~key =
       then freelist_push t ctx item
       else ()
     end
-    else walk (item + off_next)
+    else walk g (item + off_next)
   in
-  walk bucket
+  walk (Cycle_guard.create ()) bucket
 
 let bump op t ctx ~key =
   S.with_frame ctx "mc_bump" @@ fun () ->

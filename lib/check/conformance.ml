@@ -156,7 +156,9 @@ let minimize ?failing:(pred = failing) trace =
   let events = Trace.Tracebuf.to_list trace in
   if not (test events) then
     invalid_arg "Conformance.minimize: trace does not fail";
-  Obs.Timeline.begin_ tl_minimize ~arg:(List.length events);
+  Obs.Timeline.span tl_minimize ~arg:(List.length events)
+    ~end_arg:Trace.Tracebuf.length
+  @@ fun () ->
   (* Zeller-Hildebrandt ddmin. Termination at granularity = length
      means no single-event removal fails: the result is 1-minimal. *)
   let rec ddmin events n =
@@ -181,9 +183,7 @@ let minimize ?failing:(pred = failing) trace =
       | None -> if n < len then ddmin events (min len (2 * n)) else events
     end
   in
-  let minimal = ddmin events 2 in
-  Obs.Timeline.end_ tl_minimize ~arg:(List.length minimal);
-  Trace.Tracebuf.of_list minimal
+  Trace.Tracebuf.of_list (ddmin events 2)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing and the mutation self-test                                  *)
@@ -198,7 +198,8 @@ type fuzz_report = {
 
 let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
     ?(max_failures = 5) () =
-  Obs.Timeline.begin_ tl_fuzz ~arg:traces;
+  Obs.Timeline.span tl_fuzz ~arg:traces ~end_arg:(fun r -> r.fz_traces)
+  @@ fun () ->
   let comparisons0 = !comparisons_run in
   let ran = ref 0 and events = ref 0 and failures = ref [] in
   (try
@@ -214,7 +215,6 @@ let fuzz ?(traces = 1000) ?(max_events = 64) ?(seed = 42)
        | d :: _ -> failures := (seed + i, t, d) :: !failures
      done
    with Exit -> ());
-  Obs.Timeline.end_ tl_fuzz ~arg:!ran;
   {
     fz_traces = !ran;
     fz_events = !events;
@@ -232,7 +232,7 @@ type hunt_report = {
 }
 
 let hunt ?(traces = 1000) ?(max_events = 64) ?(seed = 42) fault =
-  Obs.Timeline.begin_ tl_hunt;
+  Obs.Timeline.span tl_hunt @@ fun () ->
   let result =
     Hawkset.Fault.with_fault fault (fun () ->
         let found = ref None in
@@ -251,27 +251,23 @@ let hunt ?(traces = 1000) ?(max_events = 64) ?(seed = 42) fault =
             let minimized = minimize t in
             Some (s, t, minimized, divergences minimized))
   in
-  let report =
-    match result with
-    | None ->
-        Obs.Metric.incr obs_faults_missed;
-        { h_fault = fault; h_caught_seed = None; h_original_events = 0;
-          h_minimized = None; h_divergence = None;
-          h_clean_without_fault = false }
-    | Some (s, t, minimized, divs) ->
-        Obs.Metric.incr obs_faults_caught;
-        (* Disarmed ([with_fault] restored the previous state), the
-           reproducer must be conformant: the divergence isolates the
-           fault, not a latent production bug. *)
-        let clean = not (failing minimized) in
-        { h_fault = fault; h_caught_seed = Some s;
-          h_original_events = Trace.Tracebuf.length t;
-          h_minimized = Some minimized;
-          h_divergence = (match divs with d :: _ -> Some d | [] -> None);
-          h_clean_without_fault = clean }
-  in
-  Obs.Timeline.end_ tl_hunt;
-  report
+  match result with
+  | None ->
+      Obs.Metric.incr obs_faults_missed;
+      { h_fault = fault; h_caught_seed = None; h_original_events = 0;
+        h_minimized = None; h_divergence = None;
+        h_clean_without_fault = false }
+  | Some (s, t, minimized, divs) ->
+      Obs.Metric.incr obs_faults_caught;
+      (* Disarmed ([with_fault] restored the previous state), the
+         reproducer must be conformant: the divergence isolates the
+         fault, not a latent production bug. *)
+      let clean = not (failing minimized) in
+      { h_fault = fault; h_caught_seed = Some s;
+        h_original_events = Trace.Tracebuf.length t;
+        h_minimized = Some minimized;
+        h_divergence = (match divs with d :: _ -> Some d | [] -> None);
+        h_clean_without_fault = clean }
 
 let save_fixture ~dir ~name trace =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());

@@ -175,9 +175,13 @@ let analyse_slot ~features ~memo ~counts (c : Collector.result) slot report =
     !report
   end
 
-let tl_seq = Obs.Timeline.name "analysis.sequential"
+let tl_analyse = Obs.Timeline.name "analyse"
 
 let run ?(features = all_features) ?stop (c : Collector.result) =
+  let nslots = Array.length c.Collector.slots in
+  Obs.Timeline.span tl_analyse ~arg:nslots
+    ~end_arg:(fun o -> o.words_analysed)
+  @@ fun () ->
   let memo =
     {
       m_disjoint = Trace.Int_tbl.Map.create ~size:512 ();
@@ -187,10 +191,8 @@ let run ?(features = all_features) ?stop (c : Collector.result) =
     }
   in
   let counts = { n_pairs = 0; n_pruned_hb = 0; n_races = 0 } in
-  let nslots = Array.length c.Collector.slots in
   let report = ref Report.empty in
   let analysed = ref 0 in
-  Obs.Timeline.begin_ tl_seq ~arg:nslots;
   (* Word boundaries are the cancellation points: a deadline never tears a
      word's pair enumeration, so a truncated report is exactly the full
      analysis of the words it did visit. *)
@@ -203,7 +205,6 @@ let run ?(features = all_features) ?stop (c : Collector.result) =
        incr analysed
      done
    with Exit -> ());
-  Obs.Timeline.end_ tl_seq ~arg:!analysed;
   let ls_misses = Trace.Int_tbl.Map.length memo.m_disjoint in
   let vc_misses = Trace.Int_tbl.Map.length memo.m_leq in
   Obs.Metric.add obs_pairs counts.n_pairs;

@@ -30,7 +30,6 @@ type result = {
   collector_stats : Collector.stats;
   pairs_examined : int;
   analysis_seconds : float;
-  stage_seconds : (string * float) list;
   counters : (string * int) list;
   truncated : truncation list;
 }
@@ -39,20 +38,6 @@ let obs_truncations = Obs.Registry.counter "pipeline.truncations"
 
 let tl_pipeline = Obs.Timeline.name "pipeline"
 let tl_truncation = Obs.Timeline.name "pipeline.truncation"
-
-(* One stage: record into the global span aggregate (nested under the
-   enclosing span path), bracket the caller's timeline lane with a
-   duration event, and return this call's own wall-clock seconds. The
-   intern call is two per [run] — nowhere near a hot path. *)
-let staged name f =
-  let h = Obs.Timeline.name ("pipeline." ^ name) in
-  Obs.Timeline.begin_ h;
-  Fun.protect
-    ~finally:(fun () -> Obs.Timeline.end_ h)
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let r = Obs.Registry.with_span name f in
-      (r, Unix.gettimeofday () -. t0))
 
 (* A [stop] predicate that trips once [deadline_s] wall-clock seconds have
    elapsed from its creation. [None] deadline never trips. *)
@@ -90,44 +75,41 @@ let run ?(config = default) trace =
         Trace.Tracebuf.prefix trace budget
     | Some _ | None -> trace
   in
-  Obs.Timeline.begin_ tl_pipeline ~arg:(Trace.Tracebuf.length trace);
-  let (collected, outcome), (collect_s, analyse_s) =
-    Fun.protect
-      ~finally:(fun () -> Obs.Timeline.end_ tl_pipeline)
+  (* The collect and analyse stages are the spans [Collector.collect] and
+     [Analysis.run] record themselves, nested under this one. *)
+  let collected, outcome =
+    Obs.Timeline.span tl_pipeline ~arg:(Trace.Tracebuf.length trace)
     @@ fun () ->
-    Obs.Registry.with_span "pipeline" (fun () ->
-        let collected, collect_s =
-          staged "collect" (fun () ->
-              Collector.collect ~irh:config.irh ~timestamps:config.timestamps
-                ~eadr:config.eadr
-                ?stop:(deadline_stop config.collect_deadline_s)
-                trace)
-        in
-        let consumed = collected.Collector.stats.Collector.c_events in
-        if consumed < Trace.Tracebuf.length trace then
-          note
-            { trunc_stage = "collect"; trunc_reason = "deadline";
-              trunc_done = consumed;
-              trunc_total = Trace.Tracebuf.length trace };
-        let features =
-          {
-            Analysis.effective_lockset = config.effective_lockset;
-            timestamps = config.timestamps;
-            vector_clocks = config.vector_clocks;
-          }
-        in
-        let outcome, analyse_s =
-          staged "analyse" (fun () ->
-              Analysis.run ~features
-                ?stop:(deadline_stop config.analyse_deadline_s)
-                collected)
-        in
-        if outcome.Analysis.words_analysed < outcome.Analysis.words_total then
-          note
-            { trunc_stage = "analyse"; trunc_reason = "deadline";
-              trunc_done = outcome.Analysis.words_analysed;
-              trunc_total = outcome.Analysis.words_total };
-        ((collected, outcome), (collect_s, analyse_s)))
+    let collected =
+      Collector.collect ~irh:config.irh ~timestamps:config.timestamps
+        ~eadr:config.eadr
+        ?stop:(deadline_stop config.collect_deadline_s)
+        trace
+    in
+    let consumed = collected.Collector.stats.Collector.c_events in
+    if consumed < Trace.Tracebuf.length trace then
+      note
+        { trunc_stage = "collect"; trunc_reason = "deadline";
+          trunc_done = consumed;
+          trunc_total = Trace.Tracebuf.length trace };
+    let features =
+      {
+        Analysis.effective_lockset = config.effective_lockset;
+        timestamps = config.timestamps;
+        vector_clocks = config.vector_clocks;
+      }
+    in
+    let outcome =
+      Analysis.run ~features
+        ?stop:(deadline_stop config.analyse_deadline_s)
+        collected
+    in
+    if outcome.Analysis.words_analysed < outcome.Analysis.words_total then
+      note
+        { trunc_stage = "analyse"; trunc_reason = "deadline";
+          trunc_done = outcome.Analysis.words_analysed;
+          trunc_total = outcome.Analysis.words_total };
+    (collected, outcome)
   in
   let t1 = Unix.gettimeofday () in
   let after = Obs.Registry.counters Obs.Registry.global in
@@ -136,7 +118,6 @@ let run ?(config = default) trace =
     collector_stats = collected.Collector.stats;
     pairs_examined = outcome.Analysis.pairs;
     analysis_seconds = t1 -. t0;
-    stage_seconds = [ ("collect", collect_s); ("analyse", analyse_s) ];
     counters = Obs.Registry.delta ~before ~after;
     truncated = List.rev !truncated;
   }

@@ -58,9 +58,6 @@ type result = {
   analysis_seconds : float;
       (** Wall-clock time of collection + analysis (the "testing time" the
           efficiency evaluation reports excludes workload generation). *)
-  stage_seconds : (string * float) list;
-      (** This call's wall clock per stage: [("collect", s); ("analyse", s)].
-          Real timings — quarantined from the deterministic counters. *)
   counters : (string * int) list;
       (** Delta of {!Obs.Registry.global} counters across this call, sorted
           by name — the pipeline's own work (events consumed, windows

@@ -487,7 +487,6 @@ let tl_sweep = Obs.Timeline.name "crash_sweep"
 let tl_point = Obs.Timeline.name "crash_sweep.point"
 
 let run_sweep ?(config = default_config) runner =
-  Obs.Registry.with_span "crash_sweep" @@ fun () ->
   let exec crash =
     runner.r_exec ~seed:config.c_seed ~ops:config.c_ops
       ~threads:config.c_threads ~crash
@@ -541,8 +540,8 @@ let run_sweep ?(config = default_config) runner =
         Some path
     | Some _ | None -> None
   in
-  Obs.Timeline.begin_ tl_sweep ~arg:(List.length specs);
   let points =
+    Obs.Timeline.span tl_sweep ~arg:(List.length specs) @@ fun () ->
     List.mapi
       (fun point_idx spec ->
         Obs.Timeline.instant tl_point ~arg:point_idx;
@@ -601,7 +600,6 @@ let run_sweep ?(config = default_config) runner =
         end)
       specs
   in
-  Obs.Timeline.end_ tl_sweep ~arg:(List.length specs);
   let count f = List.length (List.filter f points) in
   let sweep =
     {

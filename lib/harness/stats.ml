@@ -1,21 +1,19 @@
-(* Shared observability plumbing for front ends (CLI, bench, tests): one
-   instrumented execute+analyse run with the global registry reset at the
-   start, peak-heap sampling around the whole thing, and a run manifest
-   assembled at the end. Keeping this here (not in bin/) lets tests assert
-   the exact artifact the CLI emits. *)
+(* Shared observability plumbing for front ends (CLI, tests): the one
+   measured-run bracket — registry and span table reset at the start,
+   peak-heap sampling around the whole thing, a run manifest assembled at
+   the end. Keeping this here (not in bin/) lets tests assert the exact
+   artifact the CLI emits. *)
 
 type run = {
   sched_report : Machine.Sched.report;
   pipeline : Hawkset.Pipeline.result;
-  peak_mb : float;
-  final_live_mb : float;
   manifest : Obs.Manifest.t;
 }
 
 let obs_distinct_races = Obs.Registry.counter "report.distinct_races"
 
 let tl_run = Obs.Timeline.name "run"
-let tl_execute = Obs.Timeline.name "run.execute"
+let tl_execute = Obs.Timeline.name "execute"
 
 let base_labels ~app ~detector ~seed ~ops =
   [
@@ -25,64 +23,39 @@ let base_labels ~app ~detector ~seed ~ops =
     ("ops", string_of_int ops);
   ]
 
-let instrumented_run ?(config = Hawkset.Pipeline.default) ~entry ~seed ~ops ()
-    =
-  let reg = Obs.Registry.global in
-  Obs.Registry.reset reg;
-  let (sched_report, pipeline), peak_mb =
-    Metrics.with_live_mb (fun () ->
-        Obs.Registry.with_span "run" (fun () ->
-            Obs.Timeline.begin_ tl_run;
-            Fun.protect ~finally:(fun () -> Obs.Timeline.end_ tl_run)
-            @@ fun () ->
-            let sched_report =
-              Obs.Registry.with_span "execute" (fun () ->
-                  Obs.Timeline.begin_ tl_execute;
-                  Fun.protect
-                    ~finally:(fun () -> Obs.Timeline.end_ tl_execute)
-                    (fun () -> entry.Pmapps.Registry.run ~seed ~ops ()))
-            in
-            let pipeline =
-              Hawkset.Pipeline.run ~config sched_report.Machine.Sched.trace
-            in
-            (sched_report, pipeline)))
-  in
-  Obs.Metric.add obs_distinct_races
-    (Hawkset.Report.count pipeline.Hawkset.Pipeline.races);
+let measured ~labels f =
+  Obs.Registry.reset Obs.Registry.global;
+  Obs.Timeline.reset ();
+  let r, peak_mb = Metrics.with_live_mb f in
   let final_live_mb = Metrics.final_live_mb () in
-  let manifest =
-    Obs.Manifest.of_registry
+  ( r,
+    Obs.Manifest.of_registry ~labels
+      ~extra_gauges:
+        [ ("peak_live_mb", peak_mb); ("final_live_mb", final_live_mb) ]
+      Obs.Registry.global )
+
+let measured_run ~labels ~execute ~analyse =
+  measured ~labels (fun () ->
+      Obs.Timeline.span tl_run (fun () ->
+          let report = Obs.Timeline.span tl_execute execute in
+          (report, analyse report)))
+
+let hawkset_pipeline ?config trace =
+  let res = Hawkset.Pipeline.run ?config trace in
+  Obs.Metric.add obs_distinct_races
+    (Hawkset.Report.count res.Hawkset.Pipeline.races);
+  res
+
+let instrumented_run ?config ~entry ~seed ~ops () =
+  let (sched_report, pipeline), manifest =
+    measured_run
       ~labels:
         (base_labels ~app:entry.Pmapps.Registry.reg_name ~detector:"hawkset"
            ~seed ~ops)
-      ~extra_gauges:
-        [ ("peak_live_mb", peak_mb); ("final_live_mb", final_live_mb) ]
-      reg
+      ~execute:(fun () -> entry.Pmapps.Registry.run ~seed ~ops ())
+      ~analyse:(fun r -> hawkset_pipeline ?config r.Machine.Sched.trace)
   in
-  { sched_report; pipeline; peak_mb; final_live_mb; manifest }
-
-(* Offline traces carry no scheduler/cache counters: the manifest is built
-   from the pipeline result's own delta so `analyze` prints the same stats
-   block as a live run's pipeline section. *)
-let manifest_of_pipeline ?(labels = []) ?(extra_gauges = [])
-    (res : Hawkset.Pipeline.result) =
-  Obs.Manifest.make ~labels
-    ~counters:
-      (List.sort
-         (fun (a, _) (b, _) -> String.compare a b)
-         (("report.distinct_races",
-           Hawkset.Report.count res.Hawkset.Pipeline.races)
-         :: res.Hawkset.Pipeline.counters))
-    ~stages:
-      (List.map
-         (fun (name, seconds) ->
-           {
-             Obs.Manifest.stage_name = "pipeline/" ^ name;
-             stage_count = 1;
-             stage_seconds = seconds;
-           })
-         res.Hawkset.Pipeline.stage_seconds)
-    ~gauges:extra_gauges ()
+  { sched_report; pipeline; manifest }
 
 (* --- human rendering -------------------------------------------------- *)
 
@@ -102,16 +75,11 @@ let render (m : Obs.Manifest.t) =
        renders the tree. Each row also shows its share of the nearest
        recorded ancestor's time. *)
     let stages =
-      List.sort
-        (fun (a : Obs.Manifest.stage) b ->
-          String.compare a.Obs.Manifest.stage_name b.Obs.Manifest.stage_name)
-        m.Obs.Manifest.stages
+      List.sort (fun (a, _) (b, _) -> String.compare a b) m.Obs.Manifest.stages
     in
     let seconds_of = Hashtbl.create 16 in
     List.iter
-      (fun (s : Obs.Manifest.stage) ->
-        Hashtbl.replace seconds_of s.Obs.Manifest.stage_name
-          s.Obs.Manifest.stage_seconds)
+      (fun (path, (_, seconds)) -> Hashtbl.replace seconds_of path seconds)
       stages;
     let rec parent_seconds path =
       match String.rindex_opt path '/' with
@@ -138,18 +106,17 @@ let render (m : Obs.Manifest.t) =
          ~headers:[ "Span"; "Count"; "Seconds"; "% of parent" ]
          ~rows:
            (List.map
-              (fun (s : Obs.Manifest.stage) ->
+              (fun (path, (count, seconds)) ->
                 let pct =
-                  match parent_seconds s.Obs.Manifest.stage_name with
+                  match parent_seconds path with
                   | Some p when p > 0.0 ->
-                      Printf.sprintf "%.1f%%"
-                        (100.0 *. s.Obs.Manifest.stage_seconds /. p)
+                      Printf.sprintf "%.1f%%" (100.0 *. seconds /. p)
                   | Some _ | None -> "-"
                 in
                 [
-                  label s.Obs.Manifest.stage_name;
-                  string_of_int s.Obs.Manifest.stage_count;
-                  Printf.sprintf "%.4f" s.Obs.Manifest.stage_seconds;
+                  label path;
+                  string_of_int count;
+                  Printf.sprintf "%.4f" seconds;
                   pct;
                 ])
               stages))

@@ -1,15 +1,34 @@
-(** Observability plumbing shared by the CLI, the bench emitter and the
-    tests: instrumented runs with the global metric registry reset at the
-    start, peak-heap sampling, and {!Obs.Manifest.t} assembly.
+(** Observability plumbing shared by the CLI and the tests: the one
+    measured-run bracket (global metric registry and {!Obs.Timeline} reset
+    at the start, peak-heap sampling, {!Obs.Manifest.t} assembly).
 
     Living in the harness (not [bin/]) means tests assert the exact
     artifact the CLI's [--stats-json] emits. *)
 
+val measured :
+  labels:(string * string) list -> (unit -> 'a) -> 'a * Obs.Manifest.t
+(** [measured ~labels f] resets {!Obs.Registry.global} and the timeline
+    (rings and span table), runs [f] under {!Metrics.with_live_mb}, and
+    snapshots the registry into a manifest: [stages] from the span table,
+    gauges [peak_live_mb] and [final_live_mb]. *)
+
+val measured_run :
+  labels:(string * string) list ->
+  execute:(unit -> Machine.Sched.report) ->
+  analyse:(Machine.Sched.report -> 'a) ->
+  (Machine.Sched.report * 'a) * Obs.Manifest.t
+(** {!measured} over one detector run: a [run] span holding an [execute]
+    span around [execute], then [analyse] of its report (which records
+    its own spans, e.g. [pipeline/collect]). *)
+
+val hawkset_pipeline :
+  ?config:Hawkset.Pipeline.config -> Trace.Tracebuf.t -> Hawkset.Pipeline.result
+(** The HawkSet detector's analysis step: {!Hawkset.Pipeline.run}, then
+    its distinct races added to the [report.distinct_races] counter. *)
+
 type run = {
   sched_report : Machine.Sched.report;
   pipeline : Hawkset.Pipeline.result;
-  peak_mb : float;  (** Peak live heap across execute + analyse. *)
-  final_live_mb : float;
   manifest : Obs.Manifest.t;
 }
 
@@ -20,24 +39,15 @@ val instrumented_run :
   ops:int ->
   unit ->
   run
-(** Reset {!Obs.Registry.global}, execute the application's workload under
-    spans ([run/execute], [run/pipeline/...]), analyse the trace, and
-    snapshot everything into a manifest (labelled with the app, seed and
-    ops). Counters in the manifest are byte-identical across calls with
-    equal [(entry, seed, ops, config)]. *)
+(** {!measured_run} of the application's workload under the HawkSet
+    pipeline, labelled with the app, seed and ops. Spans: [run],
+    [run/execute], [run/pipeline], [run/pipeline/collect],
+    [run/pipeline/analyse]. Counters in the manifest are byte-identical
+    across calls with equal [(entry, seed, ops, config)]. *)
 
 val base_labels :
   app:string -> detector:string -> seed:int -> ops:int ->
   (string * string) list
-
-val manifest_of_pipeline :
-  ?labels:(string * string) list ->
-  ?extra_gauges:(string * float) list ->
-  Hawkset.Pipeline.result ->
-  Obs.Manifest.t
-(** Manifest for an offline [analyze] run: built from the pipeline
-    result's own counter delta and stage timings (no scheduler/cache
-    counters exist for a pre-recorded trace). *)
 
 val render : Obs.Manifest.t -> string
 (** The human [--stats] block: labels, the span {e tree} (spans indented

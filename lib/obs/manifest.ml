@@ -7,13 +7,11 @@
 
 let schema = "hawkset.run_manifest/1"
 
-type stage = { stage_name : string; stage_count : int; stage_seconds : float }
-
 type t = {
   labels : (string * string) list; (* app, detector, seed, ... *)
   counters : (string * int) list;
   histograms : (string * (string * int) list) list;
-  stages : stage list;
+  stages : (string * (int * float)) list;  (* path, (count, seconds) *)
   gauges : (string * float) list;
 }
 
@@ -26,11 +24,7 @@ let of_registry ?(labels = []) ?(extra_gauges = []) reg =
     labels;
     counters = Registry.counters reg;
     histograms = Registry.histograms reg;
-    stages =
-      List.map
-        (fun (path, (count, seconds)) ->
-          { stage_name = path; stage_count = count; stage_seconds = seconds })
-        (Registry.spans reg);
+    stages = Timeline.spans ();
     gauges =
       List.sort
         (fun (a, _) (b, _) -> String.compare a b)
@@ -68,12 +62,12 @@ let to_json t =
       ( "stages",
         Json.arr
           (List.map
-             (fun s ->
+             (fun (name, (count, seconds)) ->
                Json.obj
                  [
-                   ("name", Json.str s.stage_name);
-                   ("count", Json.int s.stage_count);
-                   ("seconds", Json.float s.stage_seconds);
+                   ("name", Json.str name);
+                   ("count", Json.int count);
+                   ("seconds", Json.float seconds);
                  ])
              t.stages) );
       ( "gauges",

@@ -8,7 +8,7 @@
       "counters": { "collector.events": 12034, ... } // deterministic
       "histograms": { "sched.runnable": {"le_1":..,"overflow":..,
                       "count":..,"sum":..,"max":..}, ... } // deterministic
-      "stages":   [ {"name":"run/analyse/collect","count":1,
+      "stages":   [ {"name":"run/pipeline/collect","count":1,
                      "seconds":0.0123}, ... ],       // real wall clock
       "gauges":   { "peak_live_mb": 18.2, ... } }    // real measurements
     v}
@@ -20,13 +20,12 @@
 
 val schema : string
 
-type stage = { stage_name : string; stage_count : int; stage_seconds : float }
-
 type t = {
   labels : (string * string) list;
   counters : (string * int) list;
   histograms : (string * (string * int) list) list;
-  stages : stage list;
+  stages : (string * (int * float)) list;
+      (** Span path, (count, seconds), sorted by path. *)
   gauges : (string * float) list;
 }
 
@@ -34,7 +33,7 @@ val make :
   ?labels:(string * string) list ->
   ?counters:(string * int) list ->
   ?histograms:(string * (string * int) list) list ->
-  ?stages:stage list ->
+  ?stages:(string * (int * float)) list ->
   ?gauges:(string * float) list ->
   unit ->
   t
@@ -44,8 +43,9 @@ val of_registry :
   ?extra_gauges:(string * float) list ->
   Registry.t ->
   t
-(** Snapshot a registry: counters/histograms/spans/gauges, plus
-    [extra_gauges] merged into the gauge section. *)
+(** Snapshot a registry's counters, histograms and gauges, plus
+    [extra_gauges] merged into the gauge section; [stages] is
+    {!Timeline.spans}. *)
 
 val label : t -> string -> string option
 val counter : t -> string -> int option

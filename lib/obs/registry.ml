@@ -8,20 +8,14 @@
    Domain safety: handle *bumps* are plain unsynchronised writes (racy
    but memory-safe, and the supervisor only reads deterministic counters
    derived from results, never the live registry, for gated outputs).
-   Handle creation, span recording and snapshots mutate the Hashtbls
-   themselves, which OCaml 5 does not make safe across domains — those
-   paths take [lock]. Span nesting is tracked per *domain* (keyed on
-   [Domain.self]), so concurrent batch jobs each build their own
-   "run/collect/..." paths instead of interleaving onto one stack. *)
-
-type span_stat = { mutable sp_count : int; mutable sp_seconds : float }
+   Handle creation and snapshots touch the Hashtbls themselves, which
+   OCaml 5 does not make safe across domains — those paths take [lock].
+   Spans live in {!Timeline}'s span table, not here. *)
 
 type t = {
   counters : (string, Metric.counter) Hashtbl.t;
   gauges : (string, Metric.gauge) Hashtbl.t;
   histograms : (string, Metric.histogram) Hashtbl.t;
-  spans : (string, span_stat) Hashtbl.t;
-  span_stacks : (int, string list) Hashtbl.t; (* domain id -> open paths *)
   lock : Mutex.t;
 }
 
@@ -30,8 +24,6 @@ let create () =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 16;
-    spans = Hashtbl.create 16;
-    span_stacks = Hashtbl.create 8;
     lock = Mutex.create ();
   }
 
@@ -63,9 +55,7 @@ let reset t =
   locked t (fun () ->
       Hashtbl.iter (fun _ c -> Metric.reset_counter c) t.counters;
       Hashtbl.iter (fun _ g -> Metric.reset_gauge g) t.gauges;
-      Hashtbl.iter (fun _ h -> Metric.reset_histogram h) t.histograms;
-      Hashtbl.reset t.spans;
-      Hashtbl.reset t.span_stacks)
+      Hashtbl.iter (fun _ h -> Metric.reset_histogram h) t.histograms)
 
 let sorted_bindings t tbl value =
   locked t (fun () ->
@@ -78,55 +68,6 @@ let gauges t = sorted_bindings t t.gauges Metric.gauge_value
 let histogram_cells (h : Metric.histogram) = Metric.cells h
 
 let histograms t = sorted_bindings t t.histograms histogram_cells
-
-(* --- spans ----------------------------------------------------------- *)
-
-(* Nested spans record under their slash-joined path ("run/analyse"), so
-   the snapshot reads as a flame-graph outline. Reentrancy under the same
-   path accumulates. Nesting is per domain: a worker's spans chain off
-   the spans *it* opened, never off another domain's. *)
-let with_span ?(registry = global) name f =
-  let t = registry in
-  let did = (Domain.self () :> int) in
-  let path =
-    locked t (fun () ->
-        let stack =
-          Option.value (Hashtbl.find_opt t.span_stacks did) ~default:[]
-        in
-        let path =
-          match stack with [] -> name | top :: _ -> top ^ "/" ^ name
-        in
-        Hashtbl.replace t.span_stacks did (path :: stack);
-        path)
-  in
-  let t0 = Clock.now () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Float.max 0.0 (Clock.now () -. t0) in
-      locked t (fun () ->
-          (match Hashtbl.find_opt t.span_stacks did with
-          | Some (top :: rest) when String.equal top path ->
-              if rest = [] then Hashtbl.remove t.span_stacks did
-              else Hashtbl.replace t.span_stacks did rest
-          | _ -> () (* unbalanced exit via an effect; leave it alone *));
-          let s =
-            match Hashtbl.find_opt t.spans path with
-            | Some s -> s
-            | None ->
-                let s = { sp_count = 0; sp_seconds = 0.0 } in
-                Hashtbl.add t.spans path s;
-                s
-          in
-          s.sp_count <- s.sp_count + 1;
-          s.sp_seconds <- s.sp_seconds +. dt))
-    f
-
-let spans t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun path s acc -> (path, (s.sp_count, s.sp_seconds)) :: acc)
-        t.spans [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* --- snapshot arithmetic --------------------------------------------- *)
 

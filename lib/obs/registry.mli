@@ -1,4 +1,5 @@
-(** Central metric registry: named counters, gauges, histograms and spans.
+(** Central metric registry: named counters, gauges and histograms.
+    Span timings live in {!Timeline}'s span table.
 
     Instrumented libraries create handles once at module initialization
     (find-or-create: one cell per name process-wide) against {!global} and
@@ -19,22 +20,13 @@ val gauge : ?registry:t -> string -> Metric.gauge
 val histogram : ?registry:t -> ?bounds:int array -> string -> Metric.histogram
 
 val reset : t -> unit
-(** Zero every value and drop recorded spans; handles stay valid. *)
+(** Zero every value; handles stay valid. *)
 
 (** {1 Snapshots} — sorted by name, so equal runs produce equal lists. *)
 
 val counters : t -> (string * int) list
 val gauges : t -> (string * float) list
 val histograms : t -> (string * (string * int) list) list
-
-val with_span : ?registry:t -> string -> (unit -> 'a) -> 'a
-(** Times [f] on the {!Clock} and accumulates (count, seconds) under the
-    slash-joined path of active spans ("run/analyse" when nested).
-    Nesting is tracked per domain, and the span table is mutex-protected,
-    so concurrent jobs on worker domains record safely without
-    interleaving their paths onto one stack. *)
-
-val spans : t -> (string * (int * float)) list
 
 val delta :
   before:(string * int) list ->

@@ -18,7 +18,14 @@
    {!signature} zeroes them, and tests byte-compare signatures only.
    Timestamps are clamped monotone per lane ([max] against the lane's
    last), so a stepped clock can skew a duration but never produce an
-   out-of-order trace. *)
+   out-of-order trace.
+
+   Next to its ring, each lane keeps the span table: (count, seconds)
+   per slash-joined path of open spans ("run/pipeline/collect"). It is
+   fed by the same {!span} calls, always on and never dropping —
+   [set_enabled] and the ring capacity gate only the ring — so it is the
+   one source of stage timings for the [--stats] table and the run
+   manifest. *)
 
 type handle = int
 
@@ -29,7 +36,9 @@ type event = { ev_kind : kind; ev_name : string; ev_arg : int; ev_ts : float }
 let max_lanes = 64
 let default_capacity = 8192
 
-(* Lanes allocate their arrays on first use, so a process that never
+type cell = { mutable c_count : int; mutable c_seconds : float }
+
+(* Lanes allocate their ring arrays on first use, so a process that never
    enables the timeline pays max_lanes records, not max_lanes rings. *)
 type lane = {
   mutable l_len : int;
@@ -39,6 +48,8 @@ type lane = {
   mutable l_names : int array;
   mutable l_args : int array;
   mutable l_ts : float array;
+  mutable l_open : string list;  (* paths of the open spans, innermost first *)
+  l_spans : (string, cell) Hashtbl.t;  (* the span table *)
 }
 
 let make_lane () =
@@ -50,6 +61,8 @@ let make_lane () =
     l_names = [||];
     l_args = [||];
     l_ts = [||];
+    l_open = [];
+    l_spans = Hashtbl.create 8;
   }
 
 let lanes = Array.init max_lanes (fun _ -> make_lane ())
@@ -70,7 +83,9 @@ let clear_lane ln =
   ln.l_kinds <- Bytes.empty;
   ln.l_names <- [||];
   ln.l_args <- [||];
-  ln.l_ts <- [||]
+  ln.l_ts <- [||];
+  ln.l_open <- [];
+  Hashtbl.reset ln.l_spans
 
 (* [reset]/[set_capacity] are quiescent-state operations: the caller must
    ensure no other domain is recording (e.g. between
@@ -143,14 +158,12 @@ let ensure_arrays ln =
     ln.l_ts <- Array.make cap 0.0
   end
 
-let record k h arg =
+let record_at ln k h arg ts =
   if Atomic.get enabled_flag then begin
-    let ln = lanes.(Domain.DLS.get lane_key) in
     ensure_arrays ln;
     if ln.l_len >= Bytes.length ln.l_kinds then
       ln.l_dropped <- ln.l_dropped + 1
     else begin
-      let ts = Clock.now () in
       let ts = if ts < ln.l_last_ts then ln.l_last_ts else ts in
       ln.l_last_ts <- ts;
       let p = ln.l_len in
@@ -162,9 +175,50 @@ let record k h arg =
     end
   end
 
-let begin_ ?(arg = 0) h = record Begin h arg
-let end_ ?(arg = 0) h = record End h arg
-let instant ?(arg = 0) h = record Instant h arg
+let instant ?(arg = 0) h =
+  if Atomic.get enabled_flag then
+    record_at lanes.(Domain.DLS.get lane_key) Instant h arg (Clock.now ())
+
+(* Exactly two clock reads per span, shared by the ring and the table.
+   The span closes on the lane it opened on ([with_lane] inside [f] is
+   undone by the time [f] returns). A span still open when {!reset} ran
+   no longer tops its lane's stack at exit and is not counted. *)
+let span ?(arg = 0) ?end_arg h f =
+  let ln = lanes.(Domain.DLS.get lane_key) in
+  let path =
+    match ln.l_open with
+    | [] -> name_of_id h
+    | parent :: _ -> parent ^ "/" ^ name_of_id h
+  in
+  ln.l_open <- path :: ln.l_open;
+  let t0 = Clock.now () in
+  record_at ln Begin h arg t0;
+  let close end_arg =
+    let t1 = Clock.now () in
+    (match ln.l_open with
+    | top :: rest when top == path ->
+        ln.l_open <- rest;
+        let c =
+          match Hashtbl.find_opt ln.l_spans path with
+          | Some c -> c
+          | None ->
+              let c = { c_count = 0; c_seconds = 0.0 } in
+              Hashtbl.add ln.l_spans path c;
+              c
+        in
+        c.c_count <- c.c_count + 1;
+        c.c_seconds <- c.c_seconds +. Float.max 0.0 (t1 -. t0)
+    | _ -> ());
+    record_at ln End h end_arg t1
+  in
+  match f () with
+  | r ->
+      close (match end_arg with Some g -> g r | None -> arg);
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close arg;
+      Printexc.raise_with_backtrace e bt
 
 (* --- read side -------------------------------------------------------- *)
 
@@ -278,47 +332,19 @@ let to_chrome_json () =
       ("displayTimeUnit", Json.str "ms");
     ]
 
-(* --- duration derivation ---------------------------------------------- *)
+(* --- span table ------------------------------------------------------- *)
 
-(* Per-name duration stats from matched B/E pairs across all lanes.
-   Wall-clock, hence gauge-quarantined in the manifest: only the event
-   sequence is deterministic, never these seconds. *)
-let duration_gauges () =
-  let stats : (string, float ref * float ref * int ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun i ->
-      let ln = lanes.(i) in
-      let stack = ref [] in
-      for p = 0 to ln.l_len - 1 do
-        match kind_of_byte (Bytes.get ln.l_kinds p) with
-        | Begin -> stack := (ln.l_names.(p), ln.l_ts.(p)) :: !stack
-        | End -> (
-            match !stack with
-            | (h, t0) :: rest when h = ln.l_names.(p) ->
-                stack := rest;
-                let dt = Float.max 0.0 (ln.l_ts.(p) -. t0) in
-                let total, mx, count =
-                  match Hashtbl.find_opt stats (name_of_id h) with
-                  | Some cells -> cells
-                  | None ->
-                      let cells = (ref 0.0, ref 0.0, ref 0) in
-                      Hashtbl.add stats (name_of_id h) cells;
-                      cells
-                in
-                total := !total +. dt;
-                mx := Float.max !mx dt;
-                incr count
-            | _ -> () (* unbalanced: a dropped Begin; skip *))
-        | Instant -> ()
-      done)
-    (used_lanes ());
-  Hashtbl.fold
-    (fun name (total, mx, count) acc ->
-      ("timeline." ^ name ^ ".total_s", !total)
-      :: ("timeline." ^ name ^ ".max_s", !mx)
-      :: ("timeline." ^ name ^ ".count", float_of_int !count)
-      :: acc)
-    stats []
+let spans () =
+  let merged : (string, int * float) Hashtbl.t = Hashtbl.create 16 in
+  Array.iter
+    (fun ln ->
+      Hashtbl.iter
+        (fun path c ->
+          let n, s =
+            Option.value (Hashtbl.find_opt merged path) ~default:(0, 0.0)
+          in
+          Hashtbl.replace merged path (n + c.c_count, s +. c.c_seconds))
+        ln.l_spans)
+    lanes;
+  Hashtbl.fold (fun path v acc -> (path, v) :: acc) merged []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -13,7 +13,14 @@
     the manifest's gauges — {!signature} excludes them so tests can
     byte-compare sequences. On ring overflow the new event is dropped
     (never an old one) and the lane's drop counter is bumped, so a full
-    ring still holds an exact prefix of the untruncated sequence. *)
+    ring still holds an exact prefix of the untruncated sequence.
+
+    Span table: every {!span} also adds its (count, seconds) under the
+    slash-joined path of the spans open on its lane ("run/pipeline/collect"
+    when nested). The table is always on, whatever [set_enabled] and the
+    ring capacity say, and never drops; {!spans} reads it. It is the only
+    span recorder: the [--stats] tree and the manifest's [stages] come
+    from it. *)
 
 type handle
 (** An interned event name. Intern once at module initialization with
@@ -32,8 +39,8 @@ val name : string -> handle
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
-(** Recording is off by default; every record call is a single atomic
-    load when disabled. *)
+(** Ring recording is off by default; an {!instant} is then a single
+    atomic load. {!span} feeds the span table either way. *)
 
 val set_capacity : int -> unit
 (** Set the per-lane ring capacity (default 8192) and {!reset}. Call only
@@ -42,7 +49,8 @@ val set_capacity : int -> unit
 val capacity : unit -> int
 
 val reset : unit -> unit
-(** Clear every lane (events and drop counters). Call only while no
+(** Clear every lane: events, drop counters, open spans and the span
+    table. A span open across [reset] is not counted. Call only while no
     other domain is recording. *)
 
 val current_lane : unit -> int
@@ -56,11 +64,12 @@ val with_lane : int -> (unit -> 'a) -> 'a
 (** Run [f] with the calling domain bound to the given lane, restoring
     the previous lane afterwards. *)
 
-val begin_ : ?arg:int -> handle -> unit
-(** Open a duration event on the calling domain's lane. Matched
-    [begin_]/[end_] pairs nest in the exported trace. *)
-
-val end_ : ?arg:int -> handle -> unit
+val span : ?arg:int -> ?end_arg:('a -> int) -> handle -> (unit -> 'a) -> 'a
+(** [span h f] runs [f] as a duration on the calling domain's lane: a
+    Begin event carrying [arg] (default 0), then an End event carrying
+    [end_arg] of the result (default [arg]; [arg] when [f] raises, the
+    exception is re-raised). Spans nest in the exported trace, and each
+    adds one count and its seconds to the span table under its path. *)
 
 val instant : ?arg:int -> handle -> unit
 (** Record a point event (truncation, crash point, ...). *)
@@ -86,8 +95,7 @@ val to_chrome_json : unit -> string
     duration events nest; instants are thread-scoped; a lane that
     overflowed gets a trailing ["timeline.dropped"] instant. *)
 
-val duration_gauges : unit -> (string * float) list
-(** Per-name duration stats derived from matched begin/end pairs across
-    all lanes: [timeline.<name>.count], [timeline.<name>.total_s],
-    [timeline.<name>.max_s], sorted by key. Wall-clock — manifest
-    gauges, never counters. *)
+val spans : unit -> (string * (int * float)) list
+(** The span table summed over lanes: (path, (count, seconds)), sorted by
+    path. Counts are deterministic for a fixed seed and configuration;
+    seconds are wall-clock measurements. *)

@@ -247,6 +247,7 @@ let obs_failure = function
   | Pipeline_exn -> obs_fail_exn
   | Worker_lost -> obs_fail_lost
 
+let tl_batch = Obs.Timeline.name "batch"
 let tl_attempt = Obs.Timeline.name "supervise.attempt"
 let tl_retry = Obs.Timeline.name "supervise.retry"
 let tl_replay = Obs.Timeline.name "supervise.replay"
@@ -460,17 +461,13 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
             else begin
               Obs.Metric.incr obs_attempts;
               record "start" [ id; string_of_int attempt ] None;
-              Obs.Timeline.begin_ tl_attempt ~arg:job.j_id;
               let outcome =
-                Fun.protect
-                  ~finally:(fun () -> Obs.Timeline.end_ tl_attempt ~arg:job.j_id)
-                  (fun () ->
-                    match
-                      Obs.Registry.with_span "job" (fun () ->
-                          run_attempt ?cache config job ~attempt)
-                    with
-                    | r -> Ok r
-                    | exception e -> Error e)
+                match
+                  Obs.Timeline.span tl_attempt ~arg:job.j_id (fun () ->
+                      run_attempt ?cache config job ~attempt)
+                with
+                | r -> Ok r
+                | exception e -> Error e
               in
               match outcome with
               | Ok (races, truncs) ->
@@ -636,7 +633,7 @@ let run ?journal ?(resume = false) ?cache ?(config = default_config) jobs =
     Fun.protect
       ~finally:(fun () -> match writer with Some w -> J.close w | None -> ())
       (fun () ->
-        Obs.Registry.with_span "batch" (fun () ->
+        Obs.Timeline.span tl_batch ~arg:(List.length jobs) (fun () ->
             if config.job_workers > 1 then run_concurrent ()
             else run_sequential ()))
   in

@@ -726,12 +726,13 @@ module Memcached_tests = struct
     | Workload.Op.Mc_incr key -> Pmapps.Memcached.incr t ctx ~key
     | Workload.Op.Mc_decr key -> Pmapps.Memcached.decr t ctx ~key
 
-  let run ?(seed = 0) ~ops () =
-    let heap = Pmem.Heap.create ~size:(64 * 1024 * 1024) () in
+  let run ?(seed = 0) ?(heap_mb = 64) ?crash_after_events ~ops () =
+    let heap = Pmem.Heap.create ~size:(heap_mb * 1024 * 1024) () in
     let per_thread = Workload.Ycsb.memcached_mix ~seed ~ops ~threads:8 in
     let reused = ref 0 in
     let report =
-      S.run ~seed ~sync_config:Pmapps.Memcached.sync_config ~heap (fun ctx ->
+      S.run ~seed ?crash_after_events ~sync_config:Pmapps.Memcached.sync_config
+        ~heap (fun ctx ->
           let t = Pmapps.Memcached.create ctx in
           let workers =
             Array.to_list
@@ -811,11 +812,33 @@ module Memcached_tests = struct
     in
     Alcotest.(check bool) "FPs survive the IRH" true (List.length fps > 0)
 
+  (* Seed 25 at 20k ops (the registered workload: 128 MB heap, the
+     workload seed as schedule seed) double-pushes a freed item through
+     delete's ABA-prone unlink and closes a hash-chain cycle; without the
+     walk guard [find] loops on it forever. The event cap turns such a
+     loop into a [Crashed] outcome instead of a hang. *)
+  let cyclic_chain_terminates () =
+    let report, _ =
+      run ~seed:25 ~heap_mb:128 ~crash_after_events:1_000_000 ~ops:20_000 ()
+    in
+    Alcotest.(check bool) "completed" true (report.S.outcome = S.Completed)
+
+  (* The walk guard emits no event: seed 1 at 1000 ops double-pushes too
+     but never walks a cycle, and its trace is the one recorded before the
+     guard existed. *)
+  let guard_keeps_trace () =
+    let e = Option.get (Pmapps.Registry.find "memcached-pmem") in
+    let report = e.Pmapps.Registry.run ~seed:1 ~ops:1000 () in
+    Alcotest.(check string) "trace fingerprint" "49149f9b75b1cf10"
+      (Trace.Trace_io.fingerprint report.S.trace)
+
   let tests =
     [
       Alcotest.test_case "semantics" `Quick semantics;
       Alcotest.test_case "bugs detected" `Quick bugs_detected;
       Alcotest.test_case "reuse defeats IRH" `Quick reuse_defeats_irh;
+      Alcotest.test_case "cyclic chain terminates" `Slow cyclic_chain_terminates;
+      Alcotest.test_case "guard keeps the trace" `Quick guard_keeps_trace;
     ]
 end
 

@@ -209,17 +209,18 @@ module Stats_tests = struct
     Alcotest.(check bool)
       "stage spans recorded" true
       (List.exists
-         (fun s -> s.Obs.Manifest.stage_name = "run/execute")
+         (fun (path, _) -> path = "run/execute")
          m.Obs.Manifest.stages
       && List.exists
-           (fun s -> contains ~needle:"collect" s.Obs.Manifest.stage_name)
+           (fun (path, _) -> contains ~needle:"collect" path)
            m.Obs.Manifest.stages);
-    (match Obs.Manifest.gauge m "peak_live_mb" with
-    | Some v -> Alcotest.(check bool) "peak > 0" true (v > 0.)
-    | None -> Alcotest.fail "peak_live_mb gauge missing");
-    Alcotest.(check bool)
-      "peak >= final" true
-      (r.Harness.Stats.peak_mb >= r.Harness.Stats.final_live_mb);
+    (match
+       (Obs.Manifest.gauge m "peak_live_mb", Obs.Manifest.gauge m "final_live_mb")
+     with
+    | Some peak, Some final ->
+        Alcotest.(check bool) "peak > 0" true (peak > 0.);
+        Alcotest.(check bool) "peak >= final" true (peak >= final)
+    | _ -> Alcotest.fail "peak_live_mb/final_live_mb gauge missing");
     (* Round-trip through a parser rather than grepping the serialization:
        the schema tag, a non-empty stage array and the peak-memory gauge
        must all survive emission. *)

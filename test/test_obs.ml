@@ -89,8 +89,9 @@ module Registry_tests = struct
       "handle still registered" [ ("x", 1) ]
       (Obs.Registry.counters r)
 
+  (* Spans live in the timeline's span table, fed whether or not the
+     ring records. *)
   let span_nesting () =
-    let r = Obs.Registry.create () in
     let fake = ref 0.0 in
     Obs.Clock.set_source (fun () ->
         fake := !fake +. 0.5;
@@ -98,9 +99,10 @@ module Registry_tests = struct
     Fun.protect
       ~finally:(fun () -> Obs.Clock.set_source Unix.gettimeofday)
       (fun () ->
-        Obs.Registry.with_span ~registry:r "run" (fun () ->
-            Obs.Registry.with_span ~registry:r "collect" (fun () -> ()));
-        let spans = Obs.Registry.spans r in
+        Obs.Timeline.reset ();
+        Obs.Timeline.span (Obs.Timeline.name "run") (fun () ->
+            Obs.Timeline.span (Obs.Timeline.name "collect") (fun () -> ()));
+        let spans = Obs.Timeline.spans () in
         Alcotest.(check (list string))
           "paths are slash-joined" [ "run"; "run/collect" ]
           (List.map fst spans);
@@ -176,14 +178,7 @@ module Manifest_tests = struct
       Obs.Manifest.make
         ~labels:[ ("app", "fast-fair") ]
         ~counters:[ ("collector.events", 12) ]
-        ~stages:
-          [
-            {
-              Obs.Manifest.stage_name = "run/collect";
-              stage_count = 1;
-              stage_seconds = 0.25;
-            };
-          ]
+        ~stages:[ ("run/collect", (1, 0.25)) ]
         ~gauges:[ ("peak_live_mb", 1.5) ]
         ()
     in
@@ -238,14 +233,15 @@ module Manifest_tests = struct
     let r = Obs.Registry.create () in
     Obs.Metric.add (Obs.Registry.counter ~registry:r "c") 2;
     Obs.Metric.observe (Obs.Registry.histogram ~registry:r "h") 3;
-    Obs.Registry.with_span ~registry:r "s" (fun () -> ());
+    Obs.Timeline.reset ();
+    Obs.Timeline.span (Obs.Timeline.name "s") (fun () -> ());
     let m = Obs.Manifest.of_registry ~extra_gauges:[ ("g", 1.0) ] r in
     Alcotest.(check (option int)) "counter" (Some 2) (Obs.Manifest.counter m "c");
     Alcotest.(check bool) "histogram present" true
       (List.mem_assoc "h" m.Obs.Manifest.histograms);
     Alcotest.(check (list string))
       "span stage" [ "s" ]
-      (List.map (fun s -> s.Obs.Manifest.stage_name) m.Obs.Manifest.stages);
+      (List.map fst m.Obs.Manifest.stages);
     Alcotest.(check (option (float 0.0))) "gauge" (Some 1.0)
       (Obs.Manifest.gauge m "g")
 

@@ -2,7 +2,8 @@
    signatures are byte-identical (the event-sequence determinism
    contract), ring overflow drops new events without corrupting recorded
    ones, the Chrome-trace export is valid JSON with per-lane monotone
-   timestamps, and every analysis report carries a witness. *)
+   timestamps, the span table counts every span whatever the ring does,
+   and every analysis report carries a witness. *)
 
 let contains = Test_util.contains
 
@@ -92,9 +93,9 @@ module Ring_tests = struct
           with_timeline (fun () ->
               Obs.Timeline.reset ();
               let h = Obs.Timeline.name "sig" in
-              Obs.Timeline.begin_ h ~arg:7;
-              Obs.Timeline.instant h ~arg:8;
-              Obs.Timeline.end_ h ~arg:9;
+              Obs.Timeline.span h ~arg:7
+                ~end_arg:(fun () -> 9)
+                (fun () -> Obs.Timeline.instant h ~arg:8);
               Obs.Timeline.signature 0))
     in
     let fast = ref 0.0 in
@@ -165,10 +166,33 @@ module Determinism_tests = struct
             Alcotest.(check bool) ("lane 0 has " ^ needle) true
               (contains ~needle lane0))
           [
-            "B pipeline"; "B pipeline.collect"; "B collector.collect";
-            "E collector.collect"; "B pipeline.analyse";
-            "B analysis.sequential"; "E analysis.sequential"; "E pipeline";
+            "B pipeline"; "B collect"; "E collect"; "B analyse"; "E analyse";
+            "E pipeline";
           ])
+
+  (* One bracket per stage: in an instrumented run's lane-0 signature
+     each stage opens exactly once, and no second pipeline-level bracket
+     wraps collect or analyse. *)
+  let one_bracket_per_stage () =
+    with_timeline (fun () ->
+        ignore (Harness.Stats.instrumented_run ~entry ~seed:7 ~ops:400 ());
+        let lines = String.split_on_char '\n' (Obs.Timeline.signature 0) in
+        let opens name =
+          List.length
+            (List.filter
+               (fun l ->
+                 match String.split_on_char ' ' l with
+                 | [ "B"; n; _ ] -> n = name
+                 | _ -> false)
+               lines)
+        in
+        List.iter
+          (fun name ->
+            Alcotest.(check int) (name ^ " opens once") 1 (opens name))
+          [ "run"; "execute"; "pipeline"; "collect"; "analyse" ];
+        List.iter
+          (fun name -> Alcotest.(check int) (name ^ " absent") 0 (opens name))
+          [ "pipeline.collect"; "pipeline.analyse" ])
 
   (* Queue tasks record on their slot's lane: two slots use at most lanes
      0 and 1, and every task's event lands on exactly one of them. *)
@@ -202,6 +226,7 @@ module Determinism_tests = struct
       Alcotest.test_case "same seed, same signatures" `Slow
         same_seed_same_signatures;
       Alcotest.test_case "lane 0 event shape" `Slow expected_lane0_shape;
+      Alcotest.test_case "one bracket per stage" `Slow one_bracket_per_stage;
       Alcotest.test_case "queue tasks use slot lanes" `Quick
         queue_tasks_use_slot_lanes;
     ]
@@ -324,7 +349,22 @@ module Export_tests = struct
         Alcotest.(check int) (Printf.sprintf "lane %d balanced" tid) 0 d)
       depth
 
-  let duration_gauges () =
+  let tests =
+    [
+      Alcotest.test_case "valid JSON, monotone per lane" `Slow
+        valid_json_and_monotone;
+      Alcotest.test_case "B/E balance per lane" `Slow begin_end_nesting;
+    ]
+end
+
+(* --- span table ------------------------------------------------------- *)
+
+module Span_table_tests = struct
+  let paths_and_counts () =
+    List.map (fun (path, (count, _)) -> (path, count)) (Obs.Timeline.spans ())
+
+  (* Seconds come from exactly two clock reads per span. *)
+  let seconds () =
     let fake = ref 0.0 in
     with_fake_clock
       (fun () ->
@@ -333,26 +373,90 @@ module Export_tests = struct
       (fun () ->
         with_timeline (fun () ->
             Obs.Timeline.reset ();
-            let h = Obs.Timeline.name "gauge_test" in
-            Obs.Timeline.begin_ h;
-            Obs.Timeline.end_ h;
-            let gauges = Obs.Timeline.duration_gauges () in
-            Alcotest.(check (option (float 1e-9)))
-              "count" (Some 1.0)
-              (List.assoc_opt "timeline.gauge_test.count" gauges);
-            Alcotest.(check (option (float 1e-9)))
-              "total" (Some 0.5)
-              (List.assoc_opt "timeline.gauge_test.total_s" gauges);
-            Alcotest.(check (option (float 1e-9)))
-              "max" (Some 0.5)
-              (List.assoc_opt "timeline.gauge_test.max_s" gauges)))
+            Obs.Timeline.span (Obs.Timeline.name "gauge_test") ignore;
+            Alcotest.(check (list (pair string (pair int (float 1e-9)))))
+              "count and seconds"
+              [ ("gauge_test", (1, 0.5)) ]
+              (Obs.Timeline.spans ())))
+
+  (* The table never drops: a one-event ring, recording off or on, gives
+     the same span paths and counts for the same instrumented run. *)
+  let independent_of_ring () =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Timeline.set_enabled false;
+        Obs.Timeline.set_capacity 8192)
+    @@ fun () ->
+    Obs.Timeline.set_capacity 1;
+    let run enabled =
+      Obs.Timeline.set_enabled enabled;
+      ignore (Harness.Stats.instrumented_run ~entry ~seed:7 ~ops:400 ());
+      Obs.Timeline.set_enabled false;
+      paths_and_counts ()
+    in
+    let off = run false in
+    let on = run true in
+    Alcotest.(check bool) "ring overflowed" true (Obs.Timeline.dropped 0 > 0);
+    Alcotest.(check (list (pair string int))) "same paths and counts" off on;
+    Alcotest.(check (list (pair string int)))
+      "the run's stage tree"
+      [
+        ("run", 1); ("run/execute", 1); ("run/pipeline", 1);
+        ("run/pipeline/analyse", 1); ("run/pipeline/collect", 1);
+      ]
+      off
+
+  (* An exception unwinding nested spans closes each of them, so a span
+     opened afterwards sits at the top level again. *)
+  let exception_unwinds () =
+    Obs.Timeline.reset ();
+    let a = Obs.Timeline.name "outer" and b = Obs.Timeline.name "inner" in
+    (try
+       Obs.Timeline.span a (fun () ->
+           Obs.Timeline.span b (fun () -> failwith "boom"))
+     with Failure _ -> ());
+    Obs.Timeline.span b (fun () -> Obs.Timeline.span a ignore);
+    Alcotest.(check (list (pair string int)))
+      "later spans at the right depth"
+      [ ("inner", 1); ("inner/outer", 1); ("outer", 1); ("outer/inner", 1) ]
+      (paths_and_counts ())
+
+  (* Lanes keep separate stacks and tables; {!Obs.Timeline.spans} sums
+     them by path. A barrier puts the two queue tasks on two lanes. *)
+  let lanes_merge_by_path () =
+    let pool = Hawkset.Domain_pool.create () in
+    Fun.protect ~finally:(fun () -> Hawkset.Domain_pool.shutdown pool)
+    @@ fun () ->
+    Obs.Timeline.reset ();
+    let job = Obs.Timeline.name "job" in
+    let m = Mutex.create () and c = Condition.create () in
+    let started = ref 0 in
+    let task () =
+      Mutex.lock m;
+      incr started;
+      Condition.broadcast c;
+      while !started < 2 do
+        Condition.wait c m
+      done;
+      Mutex.unlock m;
+      Obs.Timeline.span job (fun () -> Obs.Timeline.current_lane ())
+    in
+    let lanes =
+      Array.map
+        (function Ok l -> l | Error e -> raise e)
+        (Hawkset.Domain_pool.run_queue pool ~workers:2 (Array.make 2 task))
+    in
+    Alcotest.(check bool) "two lanes" true (lanes.(0) <> lanes.(1));
+    Alcotest.(check (list (pair string int)))
+      "one path, count 2" [ ("job", 2) ] (paths_and_counts ())
 
   let tests =
     [
-      Alcotest.test_case "valid JSON, monotone per lane" `Slow
-        valid_json_and_monotone;
-      Alcotest.test_case "B/E balance per lane" `Slow begin_end_nesting;
-      Alcotest.test_case "duration gauges" `Quick duration_gauges;
+      Alcotest.test_case "seconds" `Quick seconds;
+      Alcotest.test_case "independent of the ring" `Slow independent_of_ring;
+      Alcotest.test_case "exception unwinds nested spans" `Quick
+        exception_unwinds;
+      Alcotest.test_case "lanes merge by path" `Quick lanes_merge_by_path;
     ]
 end
 
@@ -428,5 +532,6 @@ let () =
       ("ring", Ring_tests.tests);
       ("determinism", Determinism_tests.tests);
       ("export", Export_tests.tests);
+      ("span table", Span_table_tests.tests);
       ("provenance", Provenance_tests.tests);
     ]
