@@ -333,6 +333,8 @@ let list_cmd =
     (Cmd.info "list-apps" ~doc:"List the registered PM applications.")
     Term.(const list $ const ())
 
+let tl_save = Obs.Timeline.name "save"
+
 let trace_cmd =
   let go app ops seed out =
     match Pmapps.Registry.find app with
@@ -342,7 +344,8 @@ let trace_cmd =
     | Some entry ->
         let ops = Pmapps.Registry.clamp_ops entry ops in
         let report = entry.Pmapps.Registry.run ~seed ~ops () in
-        Trace.Trace_io.save out report.Machine.Sched.trace;
+        Obs.Timeline.span tl_save (fun () ->
+            Trace.Trace_io.save out report.Machine.Sched.trace);
         Format.printf "wrote %d events to %s@."
           (Trace.Tracebuf.length report.Machine.Sched.trace)
           out
@@ -362,7 +365,7 @@ let analyze_cmd =
   let go () file tolerant no_irh eadr eraser json stats stats_json
       trace_out event_budget allow_truncated =
     start_timeline trace_out;
-    let trace =
+    let load () =
       if not tolerant then load_trace file
       else begin
         let t = Trace.Trace_io.load_tolerant file in
@@ -379,30 +382,33 @@ let analyze_cmd =
         t.Trace.Trace_io.salvaged
       end
     in
-    let labels detector =
+    let labels detector trace =
       [ ("trace", file); ("detector", detector);
         ("events", string_of_int (Trace.Tracebuf.length trace)) ]
     in
-    let races, manifest, truncated =
+    let trace, races, manifest, truncated =
       if eraser then
-        let races, manifest =
-          Harness.Stats.measured ~labels:(labels "eraser") (fun () ->
-              Baselines.Eraser.analyse trace)
+        let (trace, races), manifest =
+          Harness.Stats.measured_offline ~labels:(labels "eraser") ~load
+            ~analyse:Baselines.Eraser.analyse
         in
-        (races, manifest, [])
+        (trace, races, manifest, [])
       else
         let config =
           { Hawkset.Pipeline.default with irh = not no_irh; eadr;
             event_budget }
         in
-        let res, manifest =
-          Harness.Stats.measured ~labels:(labels "hawkset") (fun () ->
-              Harness.Stats.hawkset_pipeline ~config trace)
+        let (trace, res), manifest =
+          Harness.Stats.measured_offline ~labels:(labels "hawkset") ~load
+            ~analyse:(Harness.Stats.hawkset_pipeline ~config)
         in
         if stats then
           Format.printf "collector: %a@.@." Hawkset.Collector.pp_stats
             res.Hawkset.Pipeline.collector_stats;
-        (res.Hawkset.Pipeline.races, manifest, res.Hawkset.Pipeline.truncated)
+        ( trace,
+          res.Hawkset.Pipeline.races,
+          manifest,
+          res.Hawkset.Pipeline.truncated )
     in
     if json then print_endline (Hawkset.Report.to_json races)
     else begin

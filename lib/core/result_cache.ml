@@ -59,12 +59,12 @@ let create () =
 
 let key_of ~trace_fp ~config_fp = trace_fp ^ ":" ^ config_fp
 
-(* First 15 hex digits of the key's FNV: a non-negative sub-62-bit int,
-   the shape {!Trace.Int_tbl} wants. *)
-let packed_of key = int_of_string ("0x" ^ String.sub (J.fnv_hex key) 0 15)
+(* The top 60 bits of the key's FNV (its first 15 hex digits): a
+   non-negative sub-62-bit int, the shape {!Trace.Int_tbl} wants. *)
+let packed_of key = Int64.to_int (Int64.shift_right_logical (Trace.Fnv.string key) 4)
 
 let config_fingerprint (c : Pipeline.config) =
-  J.fnv_hex
+  Trace.Fnv.hex
     (Printf.sprintf "irh=%b;el=%b;ts=%b;vc=%b;eadr=%b;budget=%s" c.irh
        c.effective_lockset c.timestamps c.vector_clocks c.eadr
        (match c.event_budget with None -> "-" | Some n -> string_of_int n))

@@ -14,6 +14,7 @@ let obs_distinct_races = Obs.Registry.counter "report.distinct_races"
 
 let tl_run = Obs.Timeline.name "run"
 let tl_execute = Obs.Timeline.name "execute"
+let tl_load = Obs.Timeline.name "load"
 
 let base_labels ~app ~detector ~seed ~ops =
   [
@@ -23,16 +24,27 @@ let base_labels ~app ~detector ~seed ~ops =
     ("ops", string_of_int ops);
   ]
 
-let measured ~labels f =
+(* [labels] of the result: an offline run knows its event count only
+   once the trace is loaded inside the bracket. *)
+let measure ~labels f =
   Obs.Registry.reset Obs.Registry.global;
   Obs.Timeline.reset ();
   let r, peak_mb = Metrics.with_live_mb f in
   let final_live_mb = Metrics.final_live_mb () in
   ( r,
-    Obs.Manifest.of_registry ~labels
+    Obs.Manifest.of_registry ~labels:(labels r)
       ~extra_gauges:
         [ ("peak_live_mb", peak_mb); ("final_live_mb", final_live_mb) ]
       Obs.Registry.global )
+
+let measured ~labels f = measure ~labels:(fun _ -> labels) f
+
+let measured_offline ~labels ~load ~analyse =
+  measure
+    ~labels:(fun (trace, _) -> labels trace)
+    (fun () ->
+      let trace = Obs.Timeline.span tl_load load in
+      (trace, analyse trace))
 
 let measured_run ~labels ~execute ~analyse =
   measured ~labels (fun () ->

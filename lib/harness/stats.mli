@@ -12,6 +12,16 @@ val measured :
     snapshots the registry into a manifest: [stages] from the span table,
     gauges [peak_live_mb] and [final_live_mb]. *)
 
+val measured_offline :
+  labels:(Trace.Tracebuf.t -> (string * string) list) ->
+  load:(unit -> Trace.Tracebuf.t) ->
+  analyse:(Trace.Tracebuf.t -> 'a) ->
+  (Trace.Tracebuf.t * 'a) * Obs.Manifest.t
+(** {!measured} over one offline analysis: a [load] span around [load],
+    then [analyse] of the trace (which records its own spans, e.g.
+    [pipeline/collect]). The manifest's labels are [labels] of the
+    loaded trace. *)
+
 val measured_run :
   labels:(string * string) list ->
   execute:(unit -> Machine.Sched.report) ->

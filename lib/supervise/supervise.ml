@@ -212,7 +212,7 @@ let fingerprint config jobs =
            (failure_to_string f.f_class)
            f.f_times))
     config.faults;
-  J.fnv_hex (Buffer.contents b)
+  Trace.Fnv.hex (Buffer.contents b)
 
 let backoff_delay_ms config ~job ~attempt =
   if config.backoff_ms <= 0 then 0

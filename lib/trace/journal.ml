@@ -7,20 +7,6 @@ let header = "# hawkset-journal 1"
 
 type record = { tag : string; fields : string list; payload : string option }
 
-(* FNV-1a 64, the Trace_io trailer's constants. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv_fold h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
-let fnv_hex s = Printf.sprintf "%016Lx" (fnv_fold fnv_offset s)
-
 (* The checksummed body: tokens joined by spaces, then the payload behind
    a separator no token can contain. *)
 let body_string r =
@@ -63,7 +49,7 @@ let add w r =
     (Printf.sprintf "R %s %d%s %d %s\n" r.tag (List.length r.fields)
        (List.fold_left (fun acc f -> acc ^ " " ^ f) "" r.fields)
        plen
-       (fnv_hex (body_string r)));
+       (Fnv.hex (body_string r)));
   (match r.payload with
   | None -> ()
   | Some p ->
@@ -148,7 +134,7 @@ let load path =
                                  | Error msg -> fail !lineno msg
                                  | Ok payload ->
                                      let r = { tag; fields = fs; payload } in
-                                     if fnv_hex (body_string r) <> sum then
+                                     if Fnv.hex (body_string r) <> sum then
                                        fail !lineno "record checksum mismatch"
                                      else records := r :: !records))
                          | Some _ | None ->

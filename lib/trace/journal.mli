@@ -1,7 +1,7 @@
 (** Append-only checksummed record journal.
 
     The durability layer under the supervised batch runner: one record
-    per line, each carrying its own FNV-1a 64-bit checksum (the same
+    per line, each carrying its own FNV-1a 64-bit checksum ({!Fnv}, the
     hash the {!Trace_io} trailer uses), with an optional length-prefixed
     binary payload for embedded documents (report JSON bytes). The
     format survives being killed mid-write the way a trace file
@@ -24,11 +24,6 @@ type record = {
   fields : string list;  (** Tokens; no spaces, newlines or empties. *)
   payload : string option;  (** Arbitrary bytes, length-prefixed on disk. *)
 }
-
-val fnv_hex : string -> string
-(** FNV-1a 64-bit hash of a byte string as 16 hex digits — the
-    {!Trace_io} trailer's hash, exposed for fingerprinting journal-level
-    identities (e.g. a batch's job-set declaration). *)
 
 type writer
 

@@ -18,8 +18,14 @@
     # trailer events=<n> fnv1a=<16-hex>       (integrity trailer)
     v}
 
+    Fields are separated by runs of spaces; integers may be spelled in
+    any form [int_of_string] accepts, and lines are trimmed as
+    [String.trim] trims. Thread and lock ids must be non-negative.
+
     [write] appends an integrity trailer: the event count plus an FNV-1a
-    64-bit hash of the canonical serialization of every event. Strict
+    64-bit hash ({!Fnv}) of the canonical serialization of every event
+    (the bytes [write] produces, which {!event_to_line} returns per
+    event). Strict
     readers verify it when present; {!load_tolerant} downgrades any
     corruption to a report and salvages the valid prefix. Traces written
     before the trailer existed (no trailer line) still load. *)
@@ -32,7 +38,9 @@ val write : out_channel -> Tracebuf.t -> unit
 val read : in_channel -> Tracebuf.t
 (** Strict read: raises {!Parse_error} on the first malformed line, and
     at the trailer's line number when the trailer is present but its
-    event count or checksum does not match the events read. *)
+    event count or checksum does not match the events read. Events with
+    the same site text share one {!Site.t}; the table that shares them
+    lives for this one call. *)
 
 val save : string -> Tracebuf.t -> unit
 (** [save path trace] writes the trace to [path]. *)

@@ -194,6 +194,42 @@ module Determinism_tests = struct
           (fun name -> Alcotest.(check int) (name ^ " absent") 0 (opens name))
           [ "pipeline.collect"; "pipeline.analyse" ])
 
+  (* The offline bracket [analyze] runs under: in lane 0's signature the
+     trace's load opens once, and closes before the pipeline opens. *)
+  let load_before_pipeline () =
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Trace.Trace_io.save path
+      (entry.Pmapps.Registry.run ~seed:7 ~ops:400 ()).Machine.Sched.trace;
+    with_timeline (fun () ->
+        let (trace, _), manifest =
+          Harness.Stats.measured_offline
+            ~labels:(fun t ->
+              [ ("events", string_of_int (Trace.Tracebuf.length t)) ])
+            ~load:(fun () -> Trace.Trace_io.load path)
+            ~analyse:(Harness.Stats.hawkset_pipeline ?config:None)
+        in
+        let lines = String.split_on_char '\n' (Obs.Timeline.signature 0) in
+        let index l =
+          let rec go i = function
+            | [] -> Alcotest.failf "no %S in lane 0" l
+            | x :: _ when String.starts_with ~prefix:(l ^ " ") x -> i
+            | _ :: r -> go (i + 1) r
+          in
+          go 0 lines
+        in
+        Alcotest.(check int) "load opens once" 1
+          (List.length
+             (List.filter (String.starts_with ~prefix:"B load ") lines));
+        Alcotest.(check bool) "load closes before pipeline opens" true
+          (index "B load" < index "E load"
+          && index "E load" < index "B pipeline");
+        Alcotest.(check (list string)) "labels of the loaded trace"
+          [ string_of_int (Trace.Tracebuf.length trace) ]
+          (List.map snd manifest.Obs.Manifest.labels);
+        Alcotest.(check bool) "load in the span table" true
+          (List.mem_assoc "load" manifest.Obs.Manifest.stages))
+
   (* Queue tasks record on their slot's lane: two slots use at most lanes
      0 and 1, and every task's event lands on exactly one of them. *)
   let queue_tasks_use_slot_lanes () =
@@ -227,6 +263,7 @@ module Determinism_tests = struct
         same_seed_same_signatures;
       Alcotest.test_case "lane 0 event shape" `Slow expected_lane0_shape;
       Alcotest.test_case "one bracket per stage" `Slow one_bracket_per_stage;
+      Alcotest.test_case "load before pipeline" `Slow load_before_pipeline;
       Alcotest.test_case "queue tasks use slot lanes" `Quick
         queue_tasks_use_slot_lanes;
     ]

@@ -595,6 +595,275 @@ module Fuzz_tests = struct
     ]
 end
 
+module Canonical_tests = struct
+  (* The reader and writer against pinned bytes: a saved trace's exact
+     contents, non-canonical spellings that must parse to the canonical
+     event (with a trailer that still verifies), every parse error, the
+     per-load site table and the loaded trace's size. *)
+
+  (* SHA-256 (FIPS 180-4), to pin a saved file's bytes. *)
+  let sha256_hex s =
+    let k =
+      [|
+        0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+        0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+        0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+        0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+        0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+        0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+        0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+        0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+        0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+        0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+        0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
+      |]
+    in
+    let h =
+      [|
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+        0x1f83d9ab; 0x5be0cd19;
+      |]
+    in
+    let m = 0xffffffff in
+    let rotr x n = (x lsr n) lor ((x lsl (32 - n)) land m) in
+    let len = String.length s in
+    let total = (len + 9 + 63) / 64 * 64 in
+    let b = Bytes.make total '\000' in
+    Bytes.blit_string s 0 b 0 len;
+    Bytes.set b len '\x80';
+    Bytes.set_int64_be b (total - 8) (Int64.of_int (len * 8));
+    let w = Array.make 64 0 in
+    for blk = 0 to (total / 64) - 1 do
+      for t = 0 to 15 do
+        w.(t) <- Int32.to_int (Bytes.get_int32_be b ((blk * 64) + (4 * t))) land m
+      done;
+      for t = 16 to 63 do
+        let x = w.(t - 15) and y = w.(t - 2) in
+        let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+        let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+        w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land m
+      done;
+      let v = Array.copy h in
+      for t = 0 to 63 do
+        let a = v.(0) and e = v.(4) in
+        let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
+        let ch = e land v.(5) lxor (lnot e land m land v.(6)) in
+        let t1 = (v.(7) + s1 + ch + k.(t) + w.(t)) land m in
+        let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
+        let maj = a land v.(1) lxor (a land v.(2)) lxor (v.(1) land v.(2)) in
+        let t2 = (s0 + maj) land m in
+        Array.blit v 0 v 1 7;
+        v.(4) <- (v.(4) + t1) land m;
+        v.(0) <- (t1 + t2) land m
+      done;
+      Array.iteri (fun i x -> h.(i) <- (h.(i) + x) land m) v
+    done;
+    String.concat "" (Array.to_list (Array.map (Printf.sprintf "%08x") h))
+
+  let sha256_vectors () =
+    Alcotest.(check string) "empty"
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+      (sha256_hex "");
+    Alcotest.(check string) "abc"
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+      (sha256_hex "abc")
+
+  (* The published FNV-1a 64 vectors: journals, result-cache keys and
+     trailers written before keep verifying. Folding ranges one after
+     another is hashing their concatenation. *)
+  let fnv_vectors () =
+    List.iter
+      (fun (s, want) -> Alcotest.(check string) s want (Trace.Fnv.hex s))
+      [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+        ("foobar", "85944171f73967e8") ];
+    let b = Bytes.of_string "foobar" in
+    Alcotest.(check string) "folded in two ranges" "85944171f73967e8"
+      (Trace.Fnv.to_hex
+         (Trace.Fnv.fold (Trace.Fnv.fold Trace.Fnv.offset b 0 2) b 2 4))
+
+  let with_file contents f =
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        output_string oc contents;
+        close_out oc;
+        f path)
+
+  let read_file path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+
+  let fast_fair_1000 () =
+    match Pmapps.Registry.find "fast-fair" with
+    | None -> Alcotest.fail "fast-fair not registered"
+    | Some e ->
+        let ops = Pmapps.Registry.clamp_ops e 1000 in
+        (e.Pmapps.Registry.run ~seed:1 ~ops ()).Machine.Sched.trace
+
+  (* [hawkset trace -a fast-fair -n 1000 -s 1]'s file, byte for byte. *)
+  let golden_bytes () =
+    let t = fast_fair_1000 () in
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Trace.Trace_io.save path t;
+        let bytes = read_file path in
+        Alcotest.(check string) "sha256"
+          "d2d0bcba37038f8d0eae8e1a4dceadb1a6eec814da12a29e1fb799360cfb4d51"
+          (sha256_hex bytes);
+        Alcotest.(check bool) "trailer" true
+          (String.ends_with ~suffix:"fnv1a=9db9c4c955522a19\n" bytes);
+        Alcotest.(check string) "fingerprint is the trailer's hash"
+          "9db9c4c955522a19" (Trace.Trace_io.fingerprint t))
+
+  (* Raw lines and the canonical line each must parse to. *)
+  let noncanonical =
+    [
+      ("S 0 0x80 8 0 a.ml:10", "S 0 128 8 0 a.ml:10");
+      ("S +1 1_000 8 0x1 a.ml:0x1f", "S 1 1000 8 1 a.ml:31");
+      ("S 0 8 8 7 b.ml:2", "S 0 8 8 1 b.ml:2");
+      ("L  0   128  8   a.ml:99", "L 0 128 8 a.ml:99");
+      ("\tM 0 a.ml:12\r", "M 0 a.ml:12");
+      ("  F 0 64 clwb a.ml:11 f;g;h\t", "F 0 64 clwb a.ml:11 f;g;h");
+      ("A 1 3 c.ml:5   ins;main  ", "A 1 3 c.ml:5 ins;main");
+      ("R 0b1 0o3 c:d.ml:6", "R 1 3 c:d.ml:6");
+      ("C  0  2\r", "C 0 2");
+      ("J 0 2", "J 0 2");
+    ]
+
+  let trailer_for lines =
+    Printf.sprintf "# trailer events=%d fnv1a=%s\n" (List.length lines)
+      (Trace.Fnv.hex (String.concat "" (List.map (fun l -> l ^ "\n") lines)))
+
+  let noncanonical_input () =
+    let raw = List.map fst noncanonical and want = List.map snd noncanonical in
+    let contents =
+      "# hawkset-trace 1\n" ^ String.concat "\n" raw ^ "\n" ^ trailer_for want
+    in
+    with_file contents (fun path ->
+        let t = Trace.Trace_io.load path in
+        Alcotest.(check (list string)) "canonical events" want
+          (List.map Trace.Trace_io.event_to_line (Trace.Tracebuf.to_list t));
+        Alcotest.(check bool) "tolerant verifies" true
+          ((Trace.Trace_io.load_tolerant path).Trace.Trace_io.checksum
+          = `Verified));
+    List.iter
+      (fun (raw, want) ->
+        Alcotest.(check string) raw want
+          (Trace.Trace_io.event_to_line
+             (Trace.Trace_io.event_of_line (String.trim raw))))
+      noncanonical
+
+  let expect_error ~line ~msg f =
+    match f () with
+    | _ -> Alcotest.failf "expected %S" msg
+    | exception Trace.Trace_io.Parse_error (l, m) ->
+        Alcotest.(check int) (msg ^ ": line") line l;
+        Alcotest.(check bool)
+          (Printf.sprintf "%S starts with %S" m msg)
+          true
+          (String.starts_with ~prefix:msg m)
+
+  let line_errors () =
+    List.iter
+      (fun (text, msg) ->
+        expect_error ~line:0 ~msg (fun () -> Trace.Trace_io.event_of_line text))
+      [
+        ("", "empty line");
+        ("   ", "empty line");
+        ("X 0 1", "unknown event tag \"X\"");
+        ("SS 0 1 8 0 a.ml:1", "unknown event tag");
+        ("S 0 1 8", "unknown event tag \"S\"");
+        ("C 0 1 2", "unknown event tag \"C\"");
+        ("M 0", "missing site");
+        ("M 0 nocolon", "site has no ':'");
+        ("M 0 a.ml:x", "bad line number");
+        ("M 0 a.ml:", "bad line number");
+        ("M 0 a.ml:1 f g", "trailing fields");
+        ("S 0 nonint 8 0 a.ml:1", "expected integer");
+        ("L 0 1 99999999999999999999 a.ml:1", "expected integer");
+        ("F 0 64 clwbx a.ml:1", "unknown flush kind");
+        ("M -1 a.ml:1", "negative thread id");
+        ("A 0 -2 a.ml:1", "negative lock id");
+      ]
+
+  let trailer_errors () =
+    let body = "# hawkset-trace 1\nM 0 a.ml:1\n" in
+    let good = trailer_for [ "M 0 a.ml:1" ] in
+    with_file (body ^ good) (fun path ->
+        Alcotest.(check int) "verified" 1
+          (Trace.Tracebuf.length (Trace.Trace_io.load path)));
+    List.iter
+      (fun (trailer, msg) ->
+        with_file (body ^ trailer) (fun path ->
+            expect_error ~line:3 ~msg (fun () -> Trace.Trace_io.load path)))
+      [
+        ("# trailer events=x\n", "malformed trailer");
+        ( "# trailer events=2 fnv1a=0000000000000000\n",
+          "trailer event count mismatch" );
+        ( "# trailer events=1 fnv1a=0000000000000000\n",
+          "trailer checksum mismatch" );
+      ];
+    with_file (body ^ "M 0 a.ml:1 f g\n") (fun path ->
+        expect_error ~line:3 ~msg:"trailing fields" (fun () ->
+            Trace.Trace_io.load path))
+
+  let site_of = function
+    | Trace.Event.Load { site; _ } | Trace.Event.Store { site; _ }
+    | Trace.Event.Fence { site; _ } ->
+        site
+    | _ -> Alcotest.fail "unexpected event"
+
+  (* One Site.t per distinct site text within a load; nothing kept
+     between loads. *)
+  let shared_sites () =
+    with_file "L 0 8 8 a.ml:1 f;g\nS 1 16 8 0 a.ml:1 f;g\nM 0 a.ml:2 f;g\n"
+      (fun path ->
+        let t = Trace.Trace_io.load path in
+        let s i = site_of (Trace.Tracebuf.get t i) in
+        Alcotest.(check bool) "same text, same Site.t" true (s 0 == s 1);
+        Alcotest.(check bool) "other text, other Site.t" false (s 0 == s 2);
+        let t' = Trace.Trace_io.load path in
+        Alcotest.(check bool) "each load its own table" false
+          (s 0 == site_of (Trace.Tracebuf.get t' 0));
+        Alcotest.(check bool) "equal across loads" true
+          (Trace.Site.equal (s 0) (site_of (Trace.Tracebuf.get t' 0))))
+
+  (* A loaded trace shares its sites, so it is little more than its event
+     records and the buffer's slots. *)
+  let memory_bound () =
+    let path = Filename.temp_file "hawkset" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Trace.Trace_io.save path (fast_fair_1000 ());
+        let t = Trace.Trace_io.load path in
+        let words = Obj.reachable_words (Obj.repr t) in
+        let per_event =
+          float_of_int words /. float_of_int (Trace.Tracebuf.length t)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.2f words/event <= 8" per_event)
+          true (per_event <= 8.0))
+
+  let tests =
+    [
+      Alcotest.test_case "sha256 test vectors" `Quick sha256_vectors;
+      Alcotest.test_case "fnv-1a test vectors" `Quick fnv_vectors;
+      Alcotest.test_case "golden bytes" `Slow golden_bytes;
+      Alcotest.test_case "non-canonical input" `Quick noncanonical_input;
+      Alcotest.test_case "line errors" `Quick line_errors;
+      Alcotest.test_case "trailer errors" `Quick trailer_errors;
+      Alcotest.test_case "shared sites" `Quick shared_sites;
+      Alcotest.test_case "memory bound" `Slow memory_bound;
+    ]
+end
+
 module Int_tbl_tests = struct
   module S = Trace.Int_tbl.Set
   module M = Trace.Int_tbl.Map
@@ -754,6 +1023,7 @@ let () =
       ("tracebuf", Tracebuf_tests.tests);
       ("interner", Interner_tests.tests);
       ("trace_io", Trace_io_tests.tests);
+      ("canonical", Canonical_tests.tests);
       ("int_tbl", Int_tbl_tests.tests);
       ("vec", Vec_tests.tests);
       ("fuzz", Fuzz_tests.tests);
